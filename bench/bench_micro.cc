@@ -9,9 +9,12 @@
 //     DP runs through one shared DpScratch must cost O(1) arena blocks
 //     total, not O(nodes) allocations per tree;
 //   - partials_reused / partials_misses / partials_inserts /
-//     partials_entries — the per-(subject, l) memo must get nonzero reuse
-//     on an overlapping-keyword workload.
-// Both sections carry internal correctness guards (shared-scratch vs
+//     partials_entries — the per-subject OS-tree memo must get nonzero
+//     reuse on an overlapping-keyword workload;
+//   - partials_sweep_reused / partials_sweep_misses — the paper's l sweep
+//     (5..50) over fixed TPC-H subjects with complete OSs and the DP: one
+//     tree per subject serves every l past the G_DS depth.
+// All three sections carry internal correctness guards (shared-scratch vs
 // fresh selections; memo-on vs memo-off DeterministicResultText) and exit
 // nonzero on any mismatch, so the perf lane cannot green-light a fast but
 // wrong hot path.
@@ -28,6 +31,7 @@
 #include "core/os_generator.h"
 #include "core/size_l.h"
 #include "datasets/dblp.h"
+#include "datasets/tpch.h"
 #include "search/search_context.h"
 #include "util/rng.h"
 
@@ -239,7 +243,7 @@ int ReportPartialsWorkload(bench::JsonReport& report, bool tiny) {
   without_memo.partials_memo().Configure(off);
 
   // Every keyword set overlaps the others on the Faloutsos/databases
-  // subjects, so passes 2+ reuse the memoized per-subject synopses.
+  // subjects, so passes 2+ reuse the memoized per-subject trees.
   std::vector<std::string> queries = {"databases", "faloutsos",
                                       "christos faloutsos", "databases"};
   search::QueryOptions options;
@@ -285,10 +289,80 @@ int ReportPartialsWorkload(bench::JsonReport& report, bool tiny) {
   return 0;
 }
 
+// The l sweep a reader makes over one subject (a short synopsis first,
+// then longer ones): complete OSs and the exact DP at l = 5..50 over a
+// fixed list of TPC-H customers and suppliers, memo-on vs memo-off. A
+// complete OS depends on l only through its depth cap, so past the G_DS
+// depth every l reuses the subject's one memoized tree.
+int ReportLSweep(bench::JsonReport& report, bool tiny) {
+  datasets::TpchConfig config;
+  if (tiny) config.scale = 0.25;
+  datasets::Tpch t = datasets::BuildTpch(config);
+  datasets::ApplyTpchScores(&t, 1, 0.85);
+  core::DataGraphBackend backend(t.db, t.links, t.data_graph);
+
+  auto build = [&] {
+    std::vector<search::SearchContext::Subject> subjects;
+    subjects.push_back({t.customer, datasets::TpchCustomerGds(t)});
+    subjects.push_back({t.supplier, datasets::TpchSupplierGds(t)});
+    return search::SearchContext::Build(t.db, &backend, std::move(subjects));
+  };
+  search::SearchContext with_memo = build();
+  search::SearchContext without_memo = build();
+  core::PartialsMemoOptions off;
+  off.enabled = false;
+  without_memo.partials_memo().Configure(off);
+
+  // The first few customer and supplier names; each matches one subject.
+  const rel::TupleId per_relation = tiny ? 2 : 8;
+  std::vector<std::string> names;
+  for (rel::RelationId relation : {t.customer, t.supplier}) {
+    for (rel::TupleId tuple = 0; tuple < per_relation; ++tuple) {
+      names.push_back(t.db.relation(relation).StringValue(tuple, 0));
+    }
+  }
+
+  search::QueryOptions options;
+  options.use_prelim = false;
+  options.algorithm = core::SizeLAlgorithm::kDp;
+  for (const std::string& name : names) {
+    for (size_t l = 5; l <= 50; l += 5) {
+      options.l = l;
+      std::string on =
+          api::DeterministicResultText(with_memo.Query(name, options));
+      std::string plain =
+          api::DeterministicResultText(without_memo.Query(name, options));
+      if (on != plain) {
+        std::fprintf(stderr,
+                     "FAIL: memo-on l sweep diverged from memo-off "
+                     "(subject \"%s\", l=%zu)\n",
+                     name.c_str(), l);
+        return 1;
+      }
+    }
+  }
+
+  core::PartialsMemoMetrics m = with_memo.partials_memo().metrics();
+  report.Add("l_sweep", "tpch_dp", "partials_sweep_reused",
+             static_cast<double>(m.hits));
+  report.Add("l_sweep", "tpch_dp", "partials_sweep_misses",
+             static_cast<double>(m.misses));
+  std::printf("l_sweep: %zu subjects x l=5..50, %llu reused, %llu misses\n",
+              names.size(), static_cast<unsigned long long>(m.hits),
+              static_cast<unsigned long long>(m.misses));
+  if (m.hits == 0) {
+    std::fprintf(stderr, "FAIL: l sweep produced zero partials reuse\n");
+    return 1;
+  }
+  return 0;
+}
+
 int RunDeterministicReport(bench::JsonReport& report, bool tiny) {
   int rc = ReportDpBatch(report, tiny);
   if (rc != 0) return rc;
   rc = ReportPartialsWorkload(report, tiny);
+  if (rc != 0) return rc;
+  rc = ReportLSweep(report, tiny);
   if (rc != 0) return rc;
   return report.Write() ? 0 : 1;
 }

@@ -73,7 +73,7 @@ if [[ "${OSUM_PERF_LANE:-0}" == "1" ]]; then
     build-release/bench/bench_micro --json "${micro_json}"
     python3 scripts/bench_diff.py bench/baselines/bench_micro.json \
             "${micro_json}" --strict \
-            --gate-metrics 'dp_queries|dp_operations|dp_allocations|dp_bytes_reserved|partials_reused|partials_misses|partials_inserts|partials_entries' \
+            --gate-metrics 'dp_queries|dp_operations|dp_allocations|dp_bytes_reserved|partials_reused|partials_misses|partials_inserts|partials_entries|partials_sweep_reused|partials_sweep_misses' \
             --gate-tolerance 0.001
   else
     echo "==== perf lane: bench_micro skipped (google-benchmark not found) ===="

@@ -11,7 +11,6 @@ size_t ApproxPartialBytes(const PartialSynopsis& p) {
     bytes += p.os.node(static_cast<OsNodeId>(v)).children.capacity() *
              sizeof(OsNodeId);
   }
-  bytes += p.selection.nodes.capacity() * sizeof(OsNodeId);
   return bytes;
 }
 
@@ -92,7 +91,7 @@ PartialsMemoMetrics PartialsMemo::metrics() const {
 }
 
 void PartialsMemo::EvictOverBudget() {
-  // Never evicts the most recent entry: one oversized synopsis may briefly
+  // Never evicts the most recent entry: one oversized tree may briefly
   // exceed the byte budget, but an insert must not be a self-defeating
   // no-op (mirrors serve::ResultCache).
   while (lru_.size() > 1 && (lru_.size() > options_.max_entries ||

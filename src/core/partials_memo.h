@@ -1,19 +1,22 @@
-// A bounded, epoch-aware memo of per-(subject, l) DP synopses — the
-// second, finer-grained reuse tier beside serve::ResultCache.
+// A bounded, epoch-aware memo of per-subject OS trees — the second,
+// finer-grained reuse tier beside serve::ResultCache.
 //
-// Size-l OSs score independently per subject, so two queries whose keyword
-// sets overlap recompute identical per-subject work even though their
-// result-cache keys differ. The memo factors that sharing out: the search
-// query path looks a (subject, l, algorithm, prelim) key up before
-// generating the OS and running the DP, and inserts the finished synopsis
-// on a miss. Entries are immutable shared_ptrs — a hit copies the exact
-// trees a fresh compute would have produced, so memo-on and memo-off
+// Size-l OSs score independently per subject, and the expensive part of a
+// subject's work is generating its OS (the back-end joins), not the size-l
+// pass over it. A complete OS (Algorithm 5) depends on l only through the
+// depth cap min(l - 1, G_DS depth), so one tree serves l = 0 and every l
+// past the G_DS depth; a prelim-l OS (Algorithm 4) depends on l through
+// its AC1/AC2 cutoff and is memoized per l. The search query path looks a
+// (subject, generator, depth or l) key up before generating the OS,
+// inserts the generated tree on a miss, and runs size-l on every request,
+// hit or miss. Entries are immutable shared_ptrs — a hit copies the exact
+// tree a fresh generation would have produced, so memo-on and memo-off
 // results are byte-identical (pinned through DeterministicResultText).
 //
 // Epochs mirror the result cache's invalidation discipline: the serving
 // layer bumps the epoch on RebindContext, which atomically clears the memo
 // and causes in-flight inserts (computed against the old binding) to be
-// discarded rather than resurrected — a stale partial can never decorate a
+// discarded rather than resurrected — a stale tree can never decorate a
 // post-rebind answer.
 #ifndef OSUM_CORE_PARTIALS_MEMO_H_
 #define OSUM_CORE_PARTIALS_MEMO_H_
@@ -32,11 +35,10 @@
 
 namespace osum::core {
 
-/// One memoized per-(subject, l) unit of query work: the generated OS tree
-/// and the size-l selection computed on it. Immutable once published.
+/// One memoized unit of per-subject query work: the generated OS tree.
+/// Immutable once published; size-l runs on a copy per request.
 struct PartialSynopsis {
   OsTree os;
-  Selection selection;
   /// Set by the publisher (see ApproxPartialBytes); charged against the
   /// memo's byte budget.
   size_t approx_bytes = 0;
@@ -44,7 +46,7 @@ struct PartialSynopsis {
 
 using PartialPtr = std::shared_ptr<const PartialSynopsis>;
 
-/// Rough heap footprint of a synopsis, for the byte budget.
+/// Rough heap footprint of a memoized tree, for the byte budget.
 size_t ApproxPartialBytes(const PartialSynopsis& p);
 
 /// Sizing knob (serve::ServiceOptions forwards this to the bound
@@ -84,13 +86,13 @@ class PartialsMemo {
   PartialsMemo(const PartialsMemo&) = delete;
   PartialsMemo& operator=(const PartialsMemo&) = delete;
 
-  /// Returns the memoized synopsis and marks it most-recently used, or
+  /// Returns the memoized tree and marks it most-recently used, or
   /// nullptr on a miss. `epoch_out` (if non-null) receives the epoch
   /// observed under the lock — pass it back to Insert so a rebind between
   /// lookup and insert invalidates the computation.
   PartialPtr Lookup(const std::string& key, uint64_t* epoch_out = nullptr);
 
-  /// Publishes a computed synopsis. Discarded (returns false) if the memo
+  /// Publishes a generated tree. Discarded (returns false) if the memo
   /// is disabled, the epoch moved since `epoch_at_lookup`, or the key was
   /// filled meanwhile. Evicts LRU entries over budget.
   bool Insert(const std::string& key, PartialPtr value,

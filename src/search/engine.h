@@ -78,7 +78,7 @@ class SizeLSearchEngine {
 
   const gds::Gds& GdsFor(rel::RelationId relation) const;
 
-  /// Snapshot of the context's per-(subject, l) partials memo counters
+  /// Snapshot of the context's per-subject OS-tree memo counters
   /// ("is the second reuse tier earning its memory?"). Requires
   /// BuildIndex.
   core::PartialsMemoMetrics partials_metrics() const {

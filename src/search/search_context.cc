@@ -13,26 +13,24 @@ namespace osum::search {
 
 namespace {
 
-// The partials-memo key: exactly what determines the per-subject OS +
-// selection — the subject identity, l (which also drives the generator's
-// depth limit), and, when a selection actually runs (l > 0), the prelim
-// mode and algorithm. Deliberately NOT QueryOptions::CacheKeyFragment():
-// max_results and ranking rank *across* subjects and must not split the
-// memo, or overlapping-keyword queries would stop sharing work.
-std::string PartialsKey(const Hit& hit, const QueryOptions& options) {
+// The partials-memo key: exactly what determines a subject's generated OS
+// tree — the subject identity, the generator, and the one parameter the
+// generator reads. A complete OS (Algorithm 5) depends on l only through
+// its depth cap, so it is keyed by the effective cap and one tree serves
+// l = 0 and every l past the G_DS depth. A prelim-l OS (Algorithm 4) also
+// depends on l through its AC1/AC2 cutoff, so it is keyed by l. The
+// algorithm stays out (size-l runs on every request, hit or miss), and so
+// do max_results and ranking, which rank *across* subjects — splitting the
+// memo on them would stop overlapping-keyword queries from sharing work.
+std::string PartialsKey(const Hit& hit, bool prelim, size_t depth_or_l) {
   std::string key;
   key.reserve(32);
   key += 'r';
   key += std::to_string(hit.relation);
   key += 't';
   key += std::to_string(hit.tuple);
-  key += 'l';
-  key += std::to_string(options.l);
-  if (options.l > 0) {
-    key += options.use_prelim ? 'p' : 'c';
-    key += 'a';
-    key += std::to_string(static_cast<int>(options.algorithm));
-  }
+  key += prelim ? 'l' : 'd';
+  key += std::to_string(depth_or_l);
   return key;
 }
 
@@ -104,47 +102,50 @@ std::vector<QueryResult> SearchContext::Query(
     r.subject = hit;
     r.subject_importance = db_->relation(hit.relation).importance(hit.tuple);
 
+    // Footnote 1: tuples at distance >= l from t_DS cannot be in a
+    // connected size-l OS, so generation stops at depth l - 1. A complete
+    // OS never grows past the G_DS depth, so capping there instead
+    // changes nothing and lets every l past it share one tree.
+    const bool prelim = options.l > 0 && options.use_prelim;
+    size_t depth = static_cast<size_t>(gds.MaxDepth());
+    if (options.l > 0) depth = std::min(depth, options.l - 1);
+    core::OsGenOptions gen;
+    gen.max_depth = static_cast<int32_t>(depth);
+
     std::string memo_key;
     uint64_t memo_epoch = 0;
+    core::PartialPtr memoized;
     if (use_memo) {
-      memo_key = PartialsKey(hit, options);
-      if (core::PartialPtr hit_partial = memo.Lookup(memo_key, &memo_epoch)) {
-        // The memoized synopsis is exactly what the compute below would
-        // produce for this (subject, options) — copying it keeps results
-        // byte-identical to the memo-off path.
-        r.os = hit_partial->os;
-        r.selection = hit_partial->selection;
-        results.push_back(std::move(r));
-        continue;
+      memo_key = PartialsKey(hit, prelim, prelim ? options.l : depth);
+      memoized = memo.Lookup(memo_key, &memo_epoch);
+    }
+    if (memoized != nullptr) {
+      // The memoized tree is exactly what generation below would produce
+      // for this key — copying it keeps results byte-identical to the
+      // memo-off path.
+      r.os = memoized->os;
+    } else {
+      r.os = prelim ? core::GeneratePrelimOs(*db_, gds, backend_, hit.tuple,
+                                             options.l, gen)
+                    : core::GenerateCompleteOs(*db_, gds, backend_,
+                                               hit.tuple, gen);
+      if (use_memo) {
+        auto partial = std::make_shared<core::PartialSynopsis>();
+        partial->os = r.os;
+        partial->approx_bytes = core::ApproxPartialBytes(*partial);
+        memo.Insert(memo_key, std::move(partial), memo_epoch);
       }
     }
 
-    core::OsGenOptions gen;
-    if (options.l > 0) {
-      gen.max_depth = static_cast<int32_t>(options.l) - 1;  // footnote 1
-    }
     if (options.l == 0) {
-      r.os = core::GenerateCompleteOs(*db_, gds, backend_, hit.tuple, gen);
       r.selection.nodes.resize(r.os.size());
       for (size_t i = 0; i < r.os.size(); ++i) {
         r.selection.nodes[i] = static_cast<core::OsNodeId>(i);
       }
       r.selection.importance = r.os.TotalImportance();
     } else {
-      r.os = options.use_prelim
-                 ? core::GeneratePrelimOs(*db_, gds, backend_, hit.tuple,
-                                          options.l, gen)
-                 : core::GenerateCompleteOs(*db_, gds, backend_, hit.tuple,
-                                            gen);
       r.selection = core::RunSizeL(options.algorithm, r.os, options.l,
                                    &scratch);
-    }
-    if (use_memo) {
-      auto partial = std::make_shared<core::PartialSynopsis>();
-      partial->os = r.os;
-      partial->selection = r.selection;
-      partial->approx_bytes = core::ApproxPartialBytes(*partial);
-      memo.Insert(memo_key, std::move(partial), memo_epoch);
     }
     results.push_back(std::move(r));
   }

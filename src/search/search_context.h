@@ -145,10 +145,11 @@ class SearchContext {
   const InvertedIndex& index() const { return index_; }
   const gds::Gds& GdsFor(rel::RelationId relation) const;
 
-  /// The per-(subject, l) partials memo the query path consults (see
-  /// partials_memo.h). Non-const through a const context because it is
-  /// internally synchronized and invisible in results; the serving layer
-  /// configures it and bumps its epoch on rebind.
+  /// The partials memo of per-subject OS trees the query path consults
+  /// before generating an OS (see partials_memo.h). Non-const through a
+  /// const context because it is internally synchronized and invisible in
+  /// results; the serving layer configures it and bumps its epoch on
+  /// rebind.
   core::PartialsMemo& partials_memo() const { return *partials_memo_; }
 
   /// Moves the registered subjects back out in registration order, leaving

@@ -57,9 +57,10 @@ struct CacheMetrics {
 /// samples), so Percentile stays O(window log window).
 struct Metrics {
   CacheMetrics cache;
-  /// The bound context's per-(subject, l) partials memo — the reuse tier
-  /// under the result cache (core/partials_memo.h). Context-owned, not
-  /// service-owned: rebinds swap which memo is being reported.
+  /// The bound context's partials memo of per-subject OS trees, with
+  /// size-l run per request — the reuse tier under the result cache
+  /// (core/partials_memo.h). Context-owned, not service-owned: rebinds
+  /// swap which memo is being reported.
   core::PartialsMemoMetrics partials;
   uint64_t queries = 0;
   /// Overload control (see OverloadOptions): requests answered

@@ -471,9 +471,9 @@ void QueryService::RebindContext(const search::SearchContext& context) {
   // rejected (epoch moved) or wiped by the bump's clear — after BumpEpoch
   // returns, stale results are unreachable (see result_cache.h).
   cache_.BumpEpoch();
-  // Same discipline one tier down: flush the per-(subject, l) partials on
+  // Same discipline one tier down: flush the per-subject OS trees on
   // both sides of the swap. The old context's memo (it may be rebound
-  // back, or still referenced elsewhere) holds synopses about to go stale
+  // back, or still referenced elsewhere) holds trees about to go stale
   // with its data; the new context's memo may hold partials from a life
   // before an earlier rebind. In-flight queries pinned to the old binding
   // captured pre-bump memo epochs, so their inserts are discarded.

@@ -86,11 +86,12 @@ struct ServiceOptions {
   size_t num_threads = 0;
   ResultCacheOptions cache;
   OverloadOptions overload;
-  /// Sizing knob for the bound context's per-(subject, l) partials memo
-  /// (the finer-grained reuse tier under the result cache; see
-  /// core/partials_memo.h). Applied to the context at construction and to
-  /// every context passed to RebindContext; nullopt leaves each context's
-  /// own configuration untouched.
+  /// Sizing knob for the bound context's partials memo of per-subject OS
+  /// trees (the finer-grained reuse tier under the result cache; size-l
+  /// still runs per request; see core/partials_memo.h). Applied to the
+  /// context at construction and to every context passed to
+  /// RebindContext; nullopt leaves each context's own configuration
+  /// untouched.
   std::optional<core::PartialsMemoOptions> partials;
   /// Per-outcome latency reservoir size (most recent samples kept).
   size_t latency_window = 4096;

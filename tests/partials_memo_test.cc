@@ -1,11 +1,15 @@
-// core::PartialsMemo: the bounded, epoch-aware per-(subject, l) memo the
-// search query path consults (ISSUE 10). Unit tests pin the LRU/byte
+// core::PartialsMemo: the bounded, epoch-aware memo of per-subject OS
+// trees the search query path consults. Unit tests pin the LRU/byte
 // budgets, the epoch discipline (a bump clears the memo AND kills
 // in-flight inserts), and the disabled no-op mode; the integration tests
 // pin the load-bearing claim — memo-on and memo-off query answers are
 // byte-identical through DeterministicResultText, so the memo is
-// observable only through its own counters.
+// observable only through its own counters. The l-sweep tests are the
+// independent check on the tree keying: a complete OS is shared across
+// every l with the same effective depth cap, and never across caps.
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +31,9 @@ using core::PartialsMemoMetrics;
 using core::PartialsMemoOptions;
 using core::PartialSynopsis;
 using osum::testing::ScoredDblp;
+using osum::testing::ScoredTpch;
 using osum::testing::SmallDblpConfig;
+using osum::testing::SmallTpchConfig;
 
 PartialPtr MakePartial(size_t approx_bytes) {
   auto p = std::make_shared<PartialSynopsis>();
@@ -289,6 +295,164 @@ TEST(PartialsMemoIntegration, DistinctLAndAlgorithmDoNotCollide) {
     EXPECT_EQ(DeterministicResultText(ctx.Query("databases", dp)),
               DeterministicResultText(plain.Query("databases", dp)));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The l sweep: complete OSs (Algorithm 5) are keyed by their effective
+// depth cap min(l - 1, G_DS depth), so one tree serves l = 0 and every l
+// past the G_DS depth.
+
+search::SearchContext BuildTpchContext(const datasets::Tpch& t,
+                                       core::OsBackend* backend) {
+  std::vector<search::SearchContext::Subject> subjects;
+  subjects.push_back({t.customer, datasets::TpchCustomerGds(t)});
+  subjects.push_back({t.supplier, datasets::TpchSupplierGds(t)});
+  return search::SearchContext::Build(t.db, backend, std::move(subjects));
+}
+
+search::SearchContext MemoOff(search::SearchContext ctx) {
+  PartialsMemoOptions off;
+  off.enabled = false;
+  ctx.partials_memo().Configure(off);
+  return ctx;
+}
+
+// The depth cap the complete-OS generator effectively runs under.
+size_t EffectiveDepth(size_t l, size_t gds_depth) {
+  return l == 0 ? gds_depth : std::min(l - 1, gds_depth);
+}
+
+constexpr size_t kSweepLs[] = {0,  1,  2,  3,  4,  5,  10, 15,
+                               20, 25, 30, 35, 40, 45, 50};
+
+// The first few customer and supplier names: each matches one subject.
+std::vector<std::string> TpchSubjectNames(const datasets::Tpch& t) {
+  std::vector<std::string> names;
+  for (rel::RelationId relation : {t.customer, t.supplier}) {
+    const rel::Relation& r = t.db.relation(relation);
+    for (rel::TupleId tuple = 0; tuple < 3 && tuple < r.num_tuples();
+         ++tuple) {
+      names.push_back(r.StringValue(tuple, 0));
+    }
+  }
+  return names;
+}
+
+void ExpectCompleteOsSweepMatchesMemoOff(const datasets::Tpch& t,
+                                         core::OsBackend* backend) {
+  search::SearchContext with_memo = BuildTpchContext(t, backend);
+  search::SearchContext without_memo =
+      MemoOff(BuildTpchContext(t, backend));
+
+  size_t expected_misses = 0;
+  size_t lookups = 0;
+  for (const std::string& name : TpchSubjectNames(t)) {
+    SCOPED_TRACE(name);
+    PartialsMemoMetrics before = with_memo.partials_memo().metrics();
+    std::set<size_t> depths;
+    size_t gds_depth = 0;
+    for (core::SizeLAlgorithm algorithm :
+         {core::SizeLAlgorithm::kDp, core::SizeLAlgorithm::kTopPath,
+          core::SizeLAlgorithm::kBottomUp}) {
+      for (size_t l : kSweepLs) {
+        SCOPED_TRACE("l=" + std::to_string(l));
+        search::QueryOptions options;
+        options.l = l;
+        options.use_prelim = false;
+        options.algorithm = algorithm;
+        std::vector<search::QueryResult> on = with_memo.Query(name, options);
+        ASSERT_EQ(on.size(), 1u);
+        EXPECT_EQ(DeterministicResultText(on),
+                  DeterministicResultText(without_memo.Query(name, options)));
+        gds_depth = static_cast<size_t>(
+            with_memo.GdsFor(on[0].subject.relation).MaxDepth());
+        depths.insert(EffectiveDepth(l, gds_depth));
+        ++lookups;
+      }
+    }
+    // One generation per distinct effective depth, whatever l or the
+    // algorithm asked for; everything else is served from the memo.
+    PartialsMemoMetrics after = with_memo.partials_memo().metrics();
+    EXPECT_EQ(after.misses - before.misses, depths.size());
+    EXPECT_EQ(depths.size(), gds_depth + 1);  // caps 0..G_DS depth
+    expected_misses += depths.size();
+  }
+  PartialsMemoMetrics m = with_memo.partials_memo().metrics();
+  EXPECT_EQ(m.misses, expected_misses);
+  EXPECT_EQ(m.inserts, expected_misses);
+  EXPECT_EQ(m.entries, expected_misses);
+  EXPECT_EQ(m.hits, lookups - expected_misses);
+  EXPECT_EQ(m.evictions, 0u);
+}
+
+TEST(PartialsMemoLSweep, CompleteOsSweepOnTheDatabaseBackend) {
+  ScoredTpch f(SmallTpchConfig());
+  core::DatabaseBackend backend(f.t.db, f.t.links, /*per_select_micros=*/0.0);
+  ExpectCompleteOsSweepMatchesMemoOff(f.t, &backend);
+}
+
+TEST(PartialsMemoLSweep, CompleteOsSweepOnTheDataGraphBackend) {
+  ScoredTpch f(SmallTpchConfig());
+  ExpectCompleteOsSweepMatchesMemoOff(f.t, &f.backend);
+}
+
+TEST(PartialsMemoLSweep, ShallowTreeNeverServesADeeperRequest) {
+  ScoredTpch f(SmallTpchConfig());
+  search::SearchContext ctx = BuildTpchContext(f.t, &f.backend);
+  search::SearchContext plain = MemoOff(BuildTpchContext(f.t, &f.backend));
+  const std::string name = TpchSubjectNames(f.t).front();
+
+  search::QueryOptions shallow;
+  shallow.l = 2;
+  shallow.use_prelim = false;
+  shallow.algorithm = core::SizeLAlgorithm::kDp;
+  search::QueryOptions deep = shallow;
+  deep.l = 5;
+
+  std::vector<search::QueryResult> l2 = ctx.Query(name, shallow);
+  ASSERT_EQ(l2.size(), 1u);
+  PartialsMemoMetrics after_shallow = ctx.partials_memo().metrics();
+  ASSERT_EQ(after_shallow.misses, 1u);
+
+  std::vector<search::QueryResult> l5 = ctx.Query(name, deep);
+  ASSERT_EQ(l5.size(), 1u);
+  PartialsMemoMetrics after_deep = ctx.partials_memo().metrics();
+  // The depth-1 tree must not answer the depth-4 request: a miss, a new
+  // entry, and a strictly larger OS than the shallow one.
+  EXPECT_EQ(after_deep.hits, 0u);
+  EXPECT_EQ(after_deep.misses, 2u);
+  EXPECT_EQ(after_deep.entries, 2u);
+  EXPECT_GT(l5[0].os.size(), l2[0].os.size());
+  EXPECT_EQ(DeterministicResultText(l5),
+            DeterministicResultText(plain.Query(name, deep)));
+  EXPECT_EQ(DeterministicResultText(l2),
+            DeterministicResultText(plain.Query(name, shallow)));
+}
+
+TEST(PartialsMemoLSweep, PrelimTreesStayKeyedByL) {
+  ScoredTpch f(SmallTpchConfig());
+  search::SearchContext ctx = BuildTpchContext(f.t, &f.backend);
+  search::SearchContext plain = MemoOff(BuildTpchContext(f.t, &f.backend));
+  const std::string name = TpchSubjectNames(f.t).front();
+
+  search::QueryOptions l5;
+  l5.l = 5;
+  l5.use_prelim = true;
+  search::QueryOptions l10 = l5;
+  l10.l = 10;
+
+  // Both l past the G_DS depth, so a complete OS would share one tree;
+  // prelim-l OSs depend on l through the AC1/AC2 cutoff and must not.
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(DeterministicResultText(ctx.Query(name, l5)),
+              DeterministicResultText(plain.Query(name, l5)));
+    EXPECT_EQ(DeterministicResultText(ctx.Query(name, l10)),
+              DeterministicResultText(plain.Query(name, l10)));
+  }
+  PartialsMemoMetrics m = ctx.partials_memo().metrics();
+  EXPECT_EQ(m.misses, 2u);
+  EXPECT_EQ(m.entries, 2u);
+  EXPECT_EQ(m.hits, 2u);
 }
 
 }  // namespace
