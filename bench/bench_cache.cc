@@ -78,7 +78,7 @@ std::vector<size_t> SkewedSchedule(size_t distinct, size_t total) {
 double RunColdVsHot(const std::string& backend_name,
                     const search::SearchContext& ctx,
                     const std::vector<std::string>& mix,
-                    const search::QueryOptions& options,
+                    const api::QueryOptions& options,
                     bench::JsonReport* json) {
   util::PrintHeading(std::cout, "cold miss vs hot hit, backend=" +
                                     backend_name + " (latencies in us)");
@@ -120,7 +120,7 @@ double RunColdVsHot(const std::string& backend_name,
 void RunSkewedWorkload(const std::string& backend_name,
                        const search::SearchContext& ctx,
                        const std::vector<std::string>& mix, size_t requests,
-                       const search::QueryOptions& options,
+                       const api::QueryOptions& options,
                        bench::JsonReport* json) {
   util::PrintHeading(std::cout, "skewed replay (" + std::to_string(requests) +
                                     " requests, " +
@@ -243,7 +243,7 @@ double RunLongTailArm(const search::SearchContext& ctx,
 std::pair<double, double> RunLongTail(const search::SearchContext& ctx,
                                       const std::vector<std::string>& mix,
                                       size_t distinct, size_t requests,
-                                      const search::QueryOptions& options,
+                                      const api::QueryOptions& options,
                                       bench::JsonReport* json) {
   // Rank r is a distinct (keyword, l) cache key: the hot set reuses the
   // base l, deeper ranks ask for ever-larger synopses of the same
@@ -252,7 +252,7 @@ std::pair<double, double> RunLongTail(const search::SearchContext& ctx,
   std::vector<api::QueryRequest> universe;
   universe.reserve(distinct);
   for (size_t r = 0; r < distinct; ++r) {
-    search::QueryOptions o = options;
+    api::QueryOptions o = options;
     o.l = options.l + r / hot_count;
     universe.push_back(api::QueryRequest(mix[r % hot_count]).WithOptions(o));
   }
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
       search::SearchContext::Build(d.db, &db_backend, std::move(subjects));
 
   std::vector<std::string> mix = DblpMix(d, tiny ? 6 : 16);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 12;
   options.max_results = 4;
 

@@ -246,7 +246,7 @@ int ReportPartialsWorkload(bench::JsonReport& report, bool tiny) {
   // subjects, so passes 2+ reuse the memoized per-subject trees.
   std::vector<std::string> queries = {"databases", "faloutsos",
                                       "christos faloutsos", "databases"};
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = tiny ? 5 : 15;
   const int passes = tiny ? 2 : 4;
   for (int pass = 0; pass < passes; ++pass) {
@@ -322,7 +322,7 @@ int ReportLSweep(bench::JsonReport& report, bool tiny) {
     }
   }
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.use_prelim = false;
   options.algorithm = core::SizeLAlgorithm::kDp;
   for (const std::string& name : names) {

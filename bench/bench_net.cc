@@ -52,7 +52,7 @@
 #include "core/os_backend.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "serve/clock.h"
 #include "serve/query_service.h"
 #include "util/rng.h"

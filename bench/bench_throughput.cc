@@ -53,7 +53,7 @@ std::vector<std::string> RepeatMix(std::vector<std::string> base,
 /// The string mix as api requests — what the sweep actually executes.
 std::vector<api::QueryRequest> ToRequests(
     const std::vector<std::string>& queries,
-    const search::QueryOptions& options) {
+    const api::QueryOptions& options) {
   std::vector<api::QueryRequest> requests;
   requests.reserve(queries.size());
   for (const std::string& q : queries) {
@@ -79,7 +79,7 @@ double Checksum(const std::vector<api::QueryResponse>& batch) {
 
 void RunSweep(const std::string& title, const search::SearchContext& ctx,
               const std::vector<std::string>& queries,
-              const search::QueryOptions& options, bench::JsonReport* json) {
+              const api::QueryOptions& options, bench::JsonReport* json) {
   util::PrintHeading(std::cout, title + " (" + std::to_string(queries.size()) +
                                     " queries, l=" +
                                     std::to_string(options.l) + ", backend=" +
@@ -92,7 +92,10 @@ void RunSweep(const std::string& title, const search::SearchContext& ctx,
         for (const api::QueryRequest& r : requests) ctx.Execute(r);
       },
       kReps);
-  double reference = Checksum(ctx.ExecuteBatch(requests, size_t{1}));
+  std::vector<api::QueryResponse> serial;
+  serial.reserve(requests.size());
+  for (const api::QueryRequest& r : requests) serial.push_back(ctx.Execute(r));
+  double reference = Checksum(serial);
 
   util::TablePrinter table(
       {"threads", "wall ms", "queries/s", "speedup vs 1T", "matches serial"});
@@ -147,7 +150,7 @@ void BenchDblp(bool tiny, bench::JsonReport* json) {
   base.insert(base.end(), {"databases", "mining", "graphs", "clustering",
                            "indexing", "streams", "power law", "queries"});
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 15;
   options.max_results = 5;
   RunSweep("DBLP mix, data-graph back end", ctx,
@@ -177,7 +180,7 @@ void BenchTpch(bool tiny, bench::JsonReport* json) {
     base.push_back(t.db.relation(t.supplier).StringValue(s, 0));
   }
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   options.max_results = 3;
   RunSweep("TPC-H mix, simulated-latency database back end", ctx,

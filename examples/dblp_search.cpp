@@ -9,13 +9,16 @@
 // relations (Author and Paper), prelim-l generation, algorithm choice and
 // the Example-5 rendering.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/os_backend.h"
 #include "datasets/dblp.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "util/timer.h"
 
 namespace {
@@ -32,12 +35,20 @@ osum::core::SizeLAlgorithm ParseAlgorithm(const char* name) {
   return SizeLAlgorithm::kTopPath;
 }
 
-void RunQuery(const osum::search::SizeLSearchEngine& engine,
+/// Runs one query; false when it failed (the status is printed).
+bool RunQuery(const osum::search::SearchContext& ctx,
               const std::string& keywords,
-              const osum::search::QueryOptions& options) {
+              const osum::api::QueryOptions& options) {
   osum::util::WallTimer timer;
-  auto results = engine.Query(keywords, options);
+  osum::api::QueryResponse response =
+      ctx.Execute(osum::api::QueryRequest(keywords).WithOptions(options));
   double ms = timer.ElapsedMillis();
+  if (!response.ok()) {
+    std::printf("\n>>> query \"%s\" failed: %s\n", keywords.c_str(),
+                response.status.ToString().c_str());
+    return false;
+  }
+  const osum::api::ResultList& results = response.result_list();
   std::printf("\n>>> query \"%s\" (l=%zu, %s): %zu results in %.1f ms\n",
               keywords.c_str(), options.l,
               osum::core::AlgorithmName(options.algorithm), results.size(),
@@ -46,8 +57,9 @@ void RunQuery(const osum::search::SizeLSearchEngine& engine,
   for (const auto& r : results) {
     std::printf("\n#%zu  [importance %.2f, |OS|=%zu]\n", rank++,
                 r.subject_importance, r.os.size());
-    std::cout << engine.Render(r);
+    std::cout << ctx.Render(r);
   }
+  return true;
 }
 
 }  // namespace
@@ -58,29 +70,29 @@ int main(int argc, char** argv) {
   datasets::Dblp dblp = datasets::BuildDblp();
   datasets::ApplyDblpScores(&dblp, 1, 0.85);
   core::DataGraphBackend backend(dblp.db, dblp.links, dblp.data_graph);
-  search::SizeLSearchEngine engine(dblp.db, &backend);
-  engine.RegisterSubject(dblp.author, datasets::DblpAuthorGds(dblp));
-  engine.RegisterSubject(dblp.paper, datasets::DblpPaperGds(dblp));
-  engine.BuildIndex();
+  std::vector<search::SearchContext::Subject> subjects;
+  subjects.push_back({dblp.author, datasets::DblpAuthorGds(dblp)});
+  subjects.push_back({dblp.paper, datasets::DblpPaperGds(dblp)});
+  search::SearchContext ctx =
+      search::SearchContext::Build(dblp.db, &backend, std::move(subjects));
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 15;
   options.max_results = 3;
 
   if (argc > 1) {
     if (argc > 2) options.l = static_cast<size_t>(std::atoi(argv[2]));
     if (argc > 3) options.algorithm = ParseAlgorithm(argv[3]);
-    RunQuery(engine, argv[1], options);
-    return 0;
+    return RunQuery(ctx, argv[1], options) ? 0 : 1;
   }
 
   // Demo: an author query (Q1 of the paper), a paper-subject query and a
   // multi-keyword query.
-  RunQuery(engine, "Faloutsos", options);
+  bool ok = RunQuery(ctx, "Faloutsos", options);
   options.l = 10;
-  RunQuery(engine, "power law", options);
+  ok = RunQuery(ctx, "power law", options) && ok;
   options.l = 8;
   options.algorithm = core::SizeLAlgorithm::kDp;
-  RunQuery(engine, "christos faloutsos", options);
-  return 0;
+  ok = RunQuery(ctx, "christos faloutsos", options) && ok;
+  return ok ? 0 : 1;
 }

@@ -53,6 +53,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/codec.h"
@@ -65,7 +66,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "relational/csv_io.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "serve/query_service.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -79,9 +80,9 @@ struct Session {
   std::optional<datasets::Dblp> dblp;
   std::optional<datasets::Tpch> tpch;
   std::unique_ptr<core::DataGraphBackend> backend;
-  std::unique_ptr<search::SizeLSearchEngine> engine;
+  std::optional<search::SearchContext> ctx;
   // Serving layer, created lazily on the first `serve` command and torn
-  // down before the engine it borrows from whenever a new db is built.
+  // down before the context it borrows whenever a new db is built.
   // The cache policy (`policy` command) survives rebuilds; the cache
   // contents do not.
   std::unique_ptr<serve::QueryService> service;
@@ -93,8 +94,7 @@ struct Session {
 
   serve::QueryService& Service() {
     if (!service) {
-      service = std::make_unique<serve::QueryService>(engine->context(),
-                                                      serve_options);
+      service = std::make_unique<serve::QueryService>(*ctx, serve_options);
     }
     return *service;
   }
@@ -107,17 +107,18 @@ struct Session {
 
   bool BuildDblp() {
     tcp_server.reset();  // serves from `service`: drain it first
-    service.reset();     // borrows the engine's context: drop it first
+    service.reset();     // borrows the context: drop it first
+    ctx.reset();
     dblp = datasets::BuildDblp();
     tpch.reset();
     datasets::ApplyDblpScores(&*dblp, 1, 0.85);
     backend = std::make_unique<core::DataGraphBackend>(dblp->db, dblp->links,
                                                        dblp->data_graph);
-    engine = std::make_unique<search::SizeLSearchEngine>(dblp->db,
-                                                         backend.get());
-    engine->RegisterSubject(dblp->author, datasets::DblpAuthorGds(*dblp));
-    engine->RegisterSubject(dblp->paper, datasets::DblpPaperGds(*dblp));
-    engine->BuildIndex();
+    std::vector<search::SearchContext::Subject> subjects;
+    subjects.push_back({dblp->author, datasets::DblpAuthorGds(*dblp)});
+    subjects.push_back({dblp->paper, datasets::DblpPaperGds(*dblp)});
+    ctx.emplace(search::SearchContext::Build(dblp->db, backend.get(),
+                                             std::move(subjects)));
     std::printf("built DBLP: %llu tuples\n",
                 static_cast<unsigned long long>(dblp->db.TotalTuples()));
     return true;
@@ -125,19 +126,18 @@ struct Session {
 
   bool BuildTpch() {
     tcp_server.reset();  // serves from `service`: drain it first
-    service.reset();     // borrows the engine's context: drop it first
+    service.reset();     // borrows the context: drop it first
+    ctx.reset();
     tpch = datasets::BuildTpch();
     dblp.reset();
     datasets::ApplyTpchScores(&*tpch, 1, 0.85);
     backend = std::make_unique<core::DataGraphBackend>(tpch->db, tpch->links,
                                                        tpch->data_graph);
-    engine = std::make_unique<search::SizeLSearchEngine>(tpch->db,
-                                                         backend.get());
-    engine->RegisterSubject(tpch->customer,
-                            datasets::TpchCustomerGds(*tpch));
-    engine->RegisterSubject(tpch->supplier,
-                            datasets::TpchSupplierGds(*tpch));
-    engine->BuildIndex();
+    std::vector<search::SearchContext::Subject> subjects;
+    subjects.push_back({tpch->customer, datasets::TpchCustomerGds(*tpch)});
+    subjects.push_back({tpch->supplier, datasets::TpchSupplierGds(*tpch)});
+    ctx.emplace(search::SearchContext::Build(tpch->db, backend.get(),
+                                             std::move(subjects)));
     std::printf("built TPC-H: %llu tuples\n",
                 static_cast<unsigned long long>(tpch->db.TotalTuples()));
     return true;
@@ -238,7 +238,7 @@ void RunCommand(Session& session, const std::string& line) {
       return;
     }
     rel::RelationId r = db.GetRelationId(args[1]);
-    std::cout << session.engine->GdsFor(r).ToString(db);
+    std::cout << session.ctx->GdsFor(r).ToString(db);
     return;
   }
   if (cmd == "serve") {
@@ -370,7 +370,7 @@ void RunCommand(Session& session, const std::string& line) {
     api::QueryRequest request(keywords);
     // budget needs the complete OS; l selects the synopsis otherwise.
     request.WithL(cmd == "budget" ? 0 : number.value_or(15));
-    api::QueryResponse response = session.engine->Execute(request);
+    api::QueryResponse response = session.ctx->Execute(request);
     if (!wire.empty()) {
       // The wire forms carry failures and empty answers as data.
       if (wire == "json") {
@@ -393,11 +393,11 @@ void RunCommand(Session& session, const std::string& line) {
       for (const auto& r : results) {
         std::printf("[importance %.2f, |OS|=%zu]\n", r.subject_importance,
                     r.os.size());
-        std::cout << session.engine->Render(r);
+        std::cout << session.ctx->Render(r);
       }
     } else if (cmd == "json") {
       const auto& r = results[0];
-      const gds::Gds& gds = session.engine->GdsFor(r.subject.relation);
+      const gds::Gds& gds = session.ctx->GdsFor(r.subject.relation);
       std::cout << core::RenderOsJson(db, gds, r.os, &r.selection.nodes);
     } else {  // budget
       uint64_t words = number.value_or(50);
@@ -408,7 +408,7 @@ void RunCommand(Session& session, const std::string& line) {
       std::printf("budget %llu words -> l=%zu (%llu words)\n",
                   static_cast<unsigned long long>(words), budgeted.l,
                   static_cast<unsigned long long>(budgeted.cost));
-      const gds::Gds& gds = session.engine->GdsFor(r.subject.relation);
+      const gds::Gds& gds = session.ctx->GdsFor(r.subject.relation);
       std::cout << r.os.Render(db, gds, &budgeted.selection.nodes);
     }
     return;

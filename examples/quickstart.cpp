@@ -8,11 +8,13 @@
 // Run:  ./quickstart
 #include <cstdio>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "api/query.h"
 #include "core/os_backend.h"
 #include "datasets/dblp.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "util/timer.h"
 
 int main() {
@@ -37,13 +39,14 @@ int main() {
 
   // 3. Register data subjects with their G_DS (Figure 2) and index them.
   core::DataGraphBackend backend(dblp.db, dblp.links, dblp.data_graph);
-  search::SizeLSearchEngine engine(dblp.db, &backend);
-  engine.RegisterSubject(dblp.author, datasets::DblpAuthorGds(dblp));
-  engine.RegisterSubject(dblp.paper, datasets::DblpPaperGds(dblp));
-  engine.BuildIndex();
+  std::vector<search::SearchContext::Subject> subjects;
+  subjects.push_back({dblp.author, datasets::DblpAuthorGds(dblp)});
+  subjects.push_back({dblp.paper, datasets::DblpPaperGds(dblp)});
+  search::SearchContext ctx =
+      search::SearchContext::Build(dblp.db, &backend, std::move(subjects));
 
   std::cout << "Author G_DS (affinity, max, mmax annotations):\n"
-            << engine.GdsFor(dblp.author).ToString(dblp.db) << "\n";
+            << ctx.GdsFor(dblp.author).ToString(dblp.db) << "\n";
 
   // 4. Q1 = "Faloutsos" with l = 15 (the paper's Example 5), through the
   // public request/response contract: a fluent request in, a status-typed
@@ -51,7 +54,7 @@ int main() {
   api::QueryRequest q1 = api::QueryRequest("Faloutsos")
                              .WithL(15)
                              .WithAlgorithm(core::SizeLAlgorithm::kTopPath);
-  api::QueryResponse response = engine.Execute(q1);
+  api::QueryResponse response = ctx.Execute(q1);
   if (!response.ok()) {
     std::printf("query failed: %s\n", response.status.ToString().c_str());
     return 1;
@@ -63,12 +66,12 @@ int main() {
   for (const auto& r : response.result_list()) {
     std::printf("--- |OS|=%zu tuples, size-%zu importance %.2f ---\n",
                 r.os.size(), q1.options().l, r.selection.importance);
-    std::cout << engine.Render(r) << "\n";
+    std::cout << ctx.Render(r) << "\n";
   }
 
   // 5. Contrast with the complete OS (Example 4): just report its size.
   api::QueryResponse complete =
-      engine.Execute(api::QueryRequest("christos faloutsos").WithL(0));
+      ctx.Execute(api::QueryRequest("christos faloutsos").WithL(0));
   if (complete.ok() && !complete.result_list().empty()) {
     std::printf("(the complete OS for Christos has %zu tuples -- "
                 "the size-15 OS above is the synopsis)\n",

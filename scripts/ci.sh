@@ -2,7 +2,7 @@
 # Tier-1 verification in the three shipping configurations:
 #   1. Release            — the configuration benchmarks are run in
 #   2. Debug + ASan/UBSan — catches what optimized builds hide
-#   3. Debug + TSan       — proves the concurrent query path (QueryBatch
+#   3. Debug + TSan       — proves the concurrent query path (ExecuteBatch
 #      over a shared SearchContext), the serving layer (QueryService +
 #      sharded ResultCache) and the TCP front end (net::Server event loop
 #      vs pool workers) race on nothing; runs the search-, serve- and
@@ -15,7 +15,8 @@
 # a NON-FATAL report (scripts/bench_diff.py — tiny-vs-reference numbers
 # differ by design; the report proves the diff plumbing), and smokes the
 # api wire format: `osum_cli query --wire json` must produce a document
-# Python's json module parses.
+# Python's json module parses. The `quickstart` and `dblp_search` examples
+# must each exit 0 and print a non-empty ranked result.
 #
 # Dedicated full-size perf lane (opt-in): OSUM_PERF_LANE=1 scripts/ci.sh
 # builds Release only, runs bench_cache at FULL size and gates hard with
@@ -159,6 +160,17 @@ assert doc["status"]["code"] == 0 and doc["results"], doc["status"]
 print(f"wire smoke ok: {len(doc['results'])} result(s), "
       f"status {doc['status']['code']}")
 PY
+
+# Examples smoke: each example builds its own SearchContext and prints
+# ranked results ("--- |OS|=..." in quickstart, "#1  [importance ..." in
+# dblp_search); set -e fails the lane on a nonzero exit, grep on an empty
+# ranking.
+echo "==== examples smoke (quickstart, dblp_search) ===="
+build-release/examples/quickstart > build-release/quickstart_smoke.out
+grep -q '^--- |OS|=' build-release/quickstart_smoke.out
+build-release/examples/dblp_search > build-release/dblp_search_smoke.out
+grep -q '^#1 ' build-release/dblp_search_smoke.out
+echo "examples smoke ok"
 
 run_config build-asan -- -DCMAKE_BUILD_TYPE=Debug -DOSUM_SANITIZE=address
 # Benches and examples are never executed under TSan; skip their

@@ -1,9 +1,7 @@
 #include "api/codec.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -298,8 +296,8 @@ bool DecodeResult(Reader* r, QueryResult* out) {
 
 // ---------------------------------------------------------------------------
 // JSON emission. One canonical, single-line form: fixed field order, %.17g
-// doubles (parses back bit-exact for finite values; non-finite doubles are
-// emitted as null and decode to NaN — binary is the canonical format).
+// doubles (enough digits to identify the double; non-finite doubles are
+// emitted as null — binary is the canonical format).
 // ---------------------------------------------------------------------------
 
 std::string JsonDouble(double v) {
@@ -333,482 +331,6 @@ void AppendResultJson(std::string* out, const QueryResult& r) {
     *out += std::to_string(r.selection.nodes[i]);
   }
   *out += "]}}";
-}
-
-// ---------------------------------------------------------------------------
-// JSON parsing: a minimal recursive-descent parser for the documents this
-// codec emits (and hand-written equivalents). Depth-limited; every failure
-// is a typed kCodecError, never a crash.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;                            // kArray
-  std::vector<std::pair<std::string, JsonValue>> fields;   // kObject
-
-  const JsonValue* Find(std::string_view key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  StatusOr<JsonValue> Parse() {
-    JsonValue v;
-    if (!ParseValue(&v, 0)) return Status::CodecError(Error());
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      Fail("trailing characters after JSON document");
-      return Status::CodecError(Error());
-    }
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  std::string Error() const {
-    return error_ + " (offset " + std::to_string(pos_) + ")";
-  }
-  void Fail(std::string message) {
-    if (error_.empty()) error_ = std::move(message);
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    Fail(std::string("expected '") + c + "'");
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    Fail("unrecognized literal");
-    return false;
-  }
-
-  bool ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) {
-      Fail("nesting too deep");
-      return false;
-    }
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of input");
-      return false;
-    }
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out, depth);
-      case '[':
-        return ParseArray(out, depth);
-      case '"':
-        out->type = JsonValue::Type::kString;
-        return ParseString(&out->str);
-      case 't':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = true;
-        return ConsumeLiteral("true");
-      case 'f':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = false;
-        return ConsumeLiteral("false");
-      case 'n':
-        out->type = JsonValue::Type::kNull;
-        return ConsumeLiteral("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(JsonValue* out, int depth) {
-    out->type = JsonValue::Type::kObject;
-    if (!Consume('{')) return false;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(&value, depth + 1)) return false;
-      out->fields.emplace_back(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        Fail("unterminated object");
-        return false;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  bool ParseArray(JsonValue* out, int depth) {
-    out->type = JsonValue::Type::kArray;
-    if (!Consume('[')) return false;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value, depth + 1)) return false;
-      out->items.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        Fail("unterminated array");
-        return false;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return Consume(']');
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      Fail("expected string");
-      return false;
-    }
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            Fail("truncated \\u escape");
-            return false;
-          }
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-            else {
-              Fail("bad \\u escape");
-              return false;
-            }
-          }
-          // UTF-8 encode the BMP codepoint (surrogate pairs are not
-          // emitted by this codec; lone surrogates encode their raw value).
-          if (cp < 0x80) {
-            out->push_back(static_cast<char>(cp));
-          } else if (cp < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-            out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          }
-          break;
-        }
-        default:
-          Fail("unknown escape");
-          return false;
-      }
-    }
-    Fail("unterminated string");
-    return false;
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      Fail("expected value");
-      return false;
-    }
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      Fail("malformed number");
-      return false;
-    }
-    out->type = JsonValue::Type::kNumber;
-    out->number = v;
-    return true;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
-
-// Checked double -> integer conversions. strtod happily produces values
-// (1e300, inf) whose conversion to an integer type is undefined behavior,
-// so every numeric field must pass through one of these — the codec's
-// "hostile input decodes to kCodecError, never a crash" guarantee depends
-// on it.
-
-bool JsonToU64(double d, uint64_t* out) {
-  // 2^64 exactly; d must be strictly below it (and finite, integral, >= 0).
-  if (!std::isfinite(d) || d < 0 || d != std::floor(d) ||
-      d >= 18446744073709551616.0) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(d);
-  return true;
-}
-
-bool JsonToU32(double d, uint32_t* out) {
-  uint64_t v = 0;
-  if (!JsonToU64(d, &v) || v > 0xFFFFFFFFull) return false;
-  *out = static_cast<uint32_t>(v);
-  return true;
-}
-
-bool JsonToI32(double d, int32_t* out) {
-  if (!std::isfinite(d) || d != std::floor(d) || d < -2147483648.0 ||
-      d > 2147483647.0) {
-    return false;
-  }
-  *out = static_cast<int32_t>(d);
-  return true;
-}
-
-// Typed field extraction: each getter fails (kCodecError through the bool
-// return) when the field is missing or has the wrong JSON type.
-
-bool GetNumber(const JsonValue& obj, std::string_view key, double* out,
-               std::string* err) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kNumber) {
-    // A non-finite double is emitted as null; surface it as NaN rather
-    // than a decode failure so JSON stays total over encoder outputs.
-    if (v != nullptr && v->type == JsonValue::Type::kNull) {
-      *out = std::nan("");
-      return true;
-    }
-    *err = "missing or non-numeric field \"" + std::string(key) + "\"";
-    return false;
-  }
-  *out = v->number;
-  return true;
-}
-
-bool GetU64(const JsonValue& obj, std::string_view key, uint64_t* out,
-            std::string* err) {
-  double d = 0.0;
-  if (!GetNumber(obj, key, &d, err)) return false;
-  if (!JsonToU64(d, out)) {
-    *err = "field \"" + std::string(key) +
-           "\" is not a non-negative integer in range";
-    return false;
-  }
-  return true;
-}
-
-bool GetBool(const JsonValue& obj, std::string_view key, bool* out,
-             std::string* err) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kBool) {
-    *err = "missing or non-boolean field \"" + std::string(key) + "\"";
-    return false;
-  }
-  *out = v->boolean;
-  return true;
-}
-
-bool GetString(const JsonValue& obj, std::string_view key, std::string* out,
-               std::string* err) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kString) {
-    *err = "missing or non-string field \"" + std::string(key) + "\"";
-    return false;
-  }
-  *out = v->str;
-  return true;
-}
-
-const JsonValue* GetTyped(const JsonValue& obj, std::string_view key,
-                          JsonValue::Type type, const char* what,
-                          std::string* err) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->type != type) {
-    *err = std::string("missing or mistyped field \"") + std::string(key) +
-           "\" (expected " + what + ")";
-    return nullptr;
-  }
-  return v;
-}
-
-/// Checks the {"v":N,"kind":...} envelope shared by both document kinds;
-/// on success *version_out holds the document's version (<= max_version).
-Status CheckJsonEnvelope(const JsonValue& doc, std::string_view kind,
-                         uint64_t max_version, uint64_t* version_out) {
-  std::string err;
-  uint64_t v = 0;
-  if (!GetU64(doc, "v", &v, &err)) return Status::CodecError(err);
-  if (v < kWireVersion || v > max_version) {
-    return Status::CodecError("unsupported wire version " +
-                              std::to_string(v));
-  }
-  *version_out = v;
-  std::string k;
-  if (!GetString(doc, "kind", &k, &err)) return Status::CodecError(err);
-  if (k != kind) {
-    return Status::CodecError("wrong document kind \"" + k + "\" (expected \"" +
-                              std::string(kind) + "\")");
-  }
-  return Status::Ok();
-}
-
-StatusOr<QueryResult> ResultFromJson(const JsonValue& v) {
-  std::string err;
-  if (v.type != JsonValue::Type::kObject) {
-    return Status::CodecError("result entries must be objects");
-  }
-  QueryResult r;
-  const JsonValue* subject = GetTyped(v, "subject", JsonValue::Type::kObject,
-                                      "object", &err);
-  if (subject == nullptr) return Status::CodecError(err);
-  uint64_t relation = 0, tuple = 0;
-  if (!GetU64(*subject, "relation", &relation, &err) ||
-      !GetU64(*subject, "tuple", &tuple, &err) ||
-      relation > 0xFFFFFFFFull || tuple > 0xFFFFFFFFull) {
-    return Status::CodecError(err.empty() ? "subject id out of range" : err);
-  }
-  r.subject.relation = static_cast<rel::RelationId>(relation);
-  r.subject.tuple = static_cast<rel::TupleId>(tuple);
-  if (!GetNumber(v, "importance", &r.subject_importance, &err)) {
-    return Status::CodecError(err);
-  }
-
-  const JsonValue* os = GetTyped(v, "os", JsonValue::Type::kArray, "array",
-                                 &err);
-  if (os == nullptr) return Status::CodecError(err);
-  for (size_t i = 0; i < os->items.size(); ++i) {
-    const JsonValue& node = os->items[i];
-    if (node.type != JsonValue::Type::kArray || node.items.size() != 6) {
-      return Status::CodecError("os nodes must be 6-element arrays");
-    }
-    for (size_t f = 0; f < 5; ++f) {
-      if (node.items[f].type != JsonValue::Type::kNumber) {
-        return Status::CodecError("os node fields must be numbers");
-      }
-    }
-    double importance = node.items[5].type == JsonValue::Type::kNull
-                            ? std::nan("")
-                            : node.items[5].number;
-    if (node.items[5].type != JsonValue::Type::kNumber &&
-        node.items[5].type != JsonValue::Type::kNull) {
-      return Status::CodecError("os node fields must be numbers");
-    }
-    int32_t parent = 0, gds_node = 0, depth = 0;
-    uint32_t relation_id = 0, tuple_id = 0;
-    if (!JsonToI32(node.items[0].number, &parent) ||
-        !JsonToI32(node.items[1].number, &gds_node) ||
-        !JsonToU32(node.items[2].number, &relation_id) ||
-        !JsonToU32(node.items[3].number, &tuple_id) ||
-        !JsonToI32(node.items[4].number, &depth)) {
-      return Status::CodecError("os node field out of range");
-    }
-    if (i == 0) {
-      if (parent != core::kNoOsNode || depth != 0) {
-        return Status::CodecError("malformed os: node 0 must be the root");
-      }
-      r.os.AddRoot(gds_node, relation_id, static_cast<rel::TupleId>(tuple_id),
-                   importance);
-    } else {
-      if (parent < 0 || static_cast<size_t>(parent) >= i) {
-        return Status::CodecError("malformed os: node " + std::to_string(i) +
-                                  " has parent " + std::to_string(parent));
-      }
-      core::OsNodeId id =
-          r.os.AddChild(parent, gds_node, relation_id,
-                        static_cast<rel::TupleId>(tuple_id), importance);
-      if (r.os.node(id).depth != depth) {
-        return Status::CodecError("malformed os: inconsistent depth at node " +
-                                  std::to_string(i));
-      }
-    }
-  }
-
-  const JsonValue* selection = GetTyped(v, "selection",
-                                        JsonValue::Type::kObject, "object",
-                                        &err);
-  if (selection == nullptr) return Status::CodecError(err);
-  if (!GetNumber(*selection, "importance", &r.selection.importance, &err)) {
-    return Status::CodecError(err);
-  }
-  const JsonValue* nodes = GetTyped(*selection, "nodes",
-                                    JsonValue::Type::kArray, "array", &err);
-  if (nodes == nullptr) return Status::CodecError(err);
-  for (const JsonValue& id : nodes->items) {
-    if (id.type != JsonValue::Type::kNumber) {
-      return Status::CodecError("selection node ids must be numbers");
-    }
-    int32_t node_id = 0;
-    if (!JsonToI32(id.number, &node_id)) {
-      return Status::CodecError("selection node id out of range");
-    }
-    if (node_id < 0 || static_cast<size_t>(node_id) >= r.os.size()) {
-      return Status::CodecError("malformed selection: node id " +
-                                std::to_string(node_id) +
-                                " outside the os arena");
-    }
-    r.selection.nodes.push_back(node_id);
-  }
-  return r;
 }
 
 }  // namespace
@@ -980,55 +502,6 @@ std::string RequestToJson(const QueryRequest& request) {
   return out;
 }
 
-StatusOr<QueryRequest> RequestFromJson(std::string_view json) {
-  StatusOr<JsonValue> parsed = JsonParser(json).Parse();
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& doc = *parsed;
-  uint64_t version = 0;
-  Status envelope = CheckJsonEnvelope(doc, "query_request",
-                                      kWireVersionDeadline, &version);
-  if (!envelope.ok()) return envelope;
-
-  std::string err;
-  std::string keywords;
-  uint64_t l = 0, max_results = 0, algorithm = 0, ranking = 0;
-  bool use_prelim = false;
-  if (!GetString(doc, "keywords", &keywords, &err) ||
-      !GetU64(doc, "l", &l, &err) ||
-      !GetU64(doc, "max_results", &max_results, &err) ||
-      !GetU64(doc, "algorithm", &algorithm, &err) ||
-      !GetBool(doc, "use_prelim", &use_prelim, &err) ||
-      !GetU64(doc, "ranking", &ranking, &err)) {
-    return Status::CodecError(err);
-  }
-  uint64_t deadline_micros = 0;
-  if (version >= kWireVersionDeadline) {
-    if (!GetU64(doc, "deadline_micros", &deadline_micros, &err)) {
-      return Status::CodecError(err);
-    }
-    if (deadline_micros == 0) {
-      return Status::CodecError("v2 request with zero deadline_micros");
-    }
-  } else if (doc.Find("deadline_micros") != nullptr) {
-    // v1 documents cannot carry a deadline; silently dropping the field
-    // would be the JSON twin of the binary truncation bug.
-    return Status::CodecError(
-        "deadline_micros requires wire v2 (v1 cannot carry a deadline)");
-  }
-  StatusOr<core::SizeLAlgorithm> alg = AlgorithmFromWire(algorithm);
-  if (!alg.ok()) return alg.status();
-  StatusOr<ResultRanking> rank = RankingFromWire(ranking);
-  if (!rank.ok()) return rank.status();
-  QueryOptions o;
-  o.l = static_cast<size_t>(l);
-  o.max_results = static_cast<size_t>(max_results);
-  o.algorithm = *alg;
-  o.use_prelim = use_prelim;
-  o.ranking = *rank;
-  return QueryRequest(std::move(keywords), o)
-      .WithDeadlineMicros(deadline_micros);
-}
-
 std::string ResponseToJson(const QueryResponse& response) {
   std::string out = "{\"v\":" + std::to_string(kWireVersion) +
                     ",\"kind\":\"query_response\"";
@@ -1046,57 +519,6 @@ std::string ResponseToJson(const QueryResponse& response) {
     AppendResultJson(&out, results[i]);
   }
   out += "]}";
-  return out;
-}
-
-StatusOr<QueryResponse> ResponseFromJson(std::string_view json) {
-  StatusOr<JsonValue> parsed = JsonParser(json).Parse();
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& doc = *parsed;
-  uint64_t version = 0;
-  Status envelope = CheckJsonEnvelope(doc, "query_response", kWireVersion,
-                                      &version);
-  if (!envelope.ok()) return envelope;
-
-  std::string err;
-  const JsonValue* status = GetTyped(doc, "status", JsonValue::Type::kObject,
-                                     "object", &err);
-  if (status == nullptr) return Status::CodecError(err);
-  uint64_t code = 0;
-  std::string message;
-  if (!GetU64(*status, "code", &code, &err) ||
-      !GetString(*status, "message", &message, &err)) {
-    return Status::CodecError(err);
-  }
-  StatusOr<StatusCode> status_code = StatusCodeFromWire(code);
-  if (!status_code.ok()) return status_code.status();
-
-  QueryResponse out;
-  out.status = Status(*status_code, std::move(message));
-  const JsonValue* stats = GetTyped(doc, "stats", JsonValue::Type::kObject,
-                                    "object", &err);
-  if (stats == nullptr) return Status::CodecError(err);
-  if (!GetBool(*stats, "cache_hit", &out.stats.cache_hit, &err) ||
-      !GetNumber(*stats, "compute_us", &out.stats.compute_micros, &err) ||
-      !GetU64(*stats, "epoch", &out.stats.epoch, &err)) {
-    return Status::CodecError(err);
-  }
-
-  const JsonValue* results = GetTyped(doc, "results", JsonValue::Type::kArray,
-                                      "array", &err);
-  if (results == nullptr) return Status::CodecError(err);
-  auto list = std::make_shared<ResultList>();
-  list->reserve(results->items.size());
-  for (const JsonValue& item : results->items) {
-    StatusOr<QueryResult> result = ResultFromJson(item);
-    if (!result.ok()) return result.status();
-    list->push_back(std::move(result).value());
-  }
-  if (!out.status.ok() && !list->empty()) {
-    // Same invariant as the binary decoder: a failure carries no results.
-    return Status::CodecError("non-OK status with non-empty results");
-  }
-  out.results = std::move(list);
   return out;
 }
 

@@ -1,7 +1,7 @@
 // Wire codec for QueryRequest and QueryResponse: a versioned,
-// endianness-stable binary format (the canonical cross-process form), a
-// JSON form (for CLIs, logs and non-C++ consumers), and the deterministic
-// text fingerprint the equivalence tests compare.
+// endianness-stable binary format (the canonical cross-process form), an
+// emit-only JSON form (for CLIs, logs and non-C++ consumers), and the
+// deterministic text fingerprint the equivalence tests compare.
 //
 // Binary format v1 — all integers little-endian regardless of host,
 // doubles as their IEEE-754 bit pattern in a little-endian u64, strings as
@@ -37,12 +37,13 @@
 //     version / kind / enum values, and malformed trees all come back as
 //     Status kCodecError.
 //
-// The JSON form mirrors the same fields and the same versioning rule
-// ({"v":1,...}, or {"v":2,...,"deadline_micros":N} for deadline-carrying
-// requests); doubles are
-// printed with %.17g so they parse back bit-exact, and u64 fields share
-// JSON's usual 2^53 integer precision limit — binary is the canonical
-// format, JSON the interoperable one.
+// JSON is emit-only: one canonical, single-line document per value for
+// CLIs, logs and non-C++ consumers, mirroring the binary fields and its
+// versioning rule ({"v":1,...}, or {"v":2,...,"deadline_micros":N} for
+// deadline-carrying requests). Doubles are printed with %.17g. Nothing in
+// the system reads JSON back — binary is the canonical format, and the
+// encoders' exact output is pinned by golden strings in
+// tests/api_codec_test.cc.
 #ifndef OSUM_API_CODEC_H_
 #define OSUM_API_CODEC_H_
 
@@ -86,13 +87,9 @@ StatusOr<QueryResponse> DecodeResponse(std::string_view bytes);
 
 // -- JSON ------------------------------------------------------------------
 
-/// One-line canonical JSON document (fixed field order, %.17g doubles), so
-/// ToJson(FromJson(doc)) reproduces doc byte-for-byte.
+/// One-line canonical JSON document (fixed field order, %.17g doubles).
 std::string RequestToJson(const QueryRequest& request);
-StatusOr<QueryRequest> RequestFromJson(std::string_view json);
-
 std::string ResponseToJson(const QueryResponse& response);
-StatusOr<QueryResponse> ResponseFromJson(std::string_view json);
 
 // -- Deterministic text ----------------------------------------------------
 

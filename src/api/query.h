@@ -11,10 +11,9 @@
 // across processes (api/codec.h gives both types a wire form).
 //
 // Layering: this header also *defines* the result vocabulary (Hit,
-// QueryOptions, QueryResult, ResultRanking) that used to live in
-// search/search_context.h — the api layer sits below search so
-// SizeLSearchEngine, SearchContext and serve::QueryService can all speak
-// these types natively. `osum::search` keeps aliases for source compat.
+// QueryOptions, QueryResult, ResultRanking) — the api layer sits below
+// search so SearchContext and serve::QueryService both speak these types
+// natively.
 #ifndef OSUM_API_QUERY_H_
 #define OSUM_API_QUERY_H_
 

@@ -1,9 +1,10 @@
 #include "search/search_context.h"
 
 #include <algorithm>
-#include <cassert>
 #include <exception>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -43,11 +44,22 @@ SearchContext SearchContext::Build(const rel::Database& db,
   ctx.partials_memo_ = std::make_shared<core::PartialsMemo>();
   ctx.subject_order_.reserve(subjects.size());
   for (Subject& s : subjects) {
-    assert(s.gds.root_relation() == s.relation);
+    // Checked in every build type: a duplicate would list the relation
+    // twice in subject_order_ (TakeSubjects would then move one G_DS out
+    // twice), and a mis-rooted G_DS would generate OSs from the wrong
+    // relation.
+    if (s.gds.root_relation() != s.relation) {
+      throw std::invalid_argument(
+          "SearchContext::Build: G_DS rooted at relation " +
+          std::to_string(s.gds.root_relation()) + " registered for relation " +
+          std::to_string(s.relation));
+    }
+    if (!ctx.subjects_.emplace(s.relation, std::move(s.gds)).second) {
+      throw std::invalid_argument(
+          "SearchContext::Build: relation " + std::to_string(s.relation) +
+          " registered twice");
+    }
     ctx.subject_order_.push_back(s.relation);
-    bool inserted = ctx.subjects_.emplace(s.relation, std::move(s.gds)).second;
-    assert(inserted && "each subject relation may be registered once");
-    (void)inserted;
   }
   ctx.index_ = InvertedIndex::Build(db, ctx.subject_order_);
   return ctx;
@@ -70,8 +82,8 @@ std::vector<SearchContext::Subject> SearchContext::TakeSubjects() && {
   return out;
 }
 
-std::vector<QueryResult> SearchContext::Query(
-    std::string_view keywords, const QueryOptions& options) const {
+std::vector<api::QueryResult> SearchContext::Query(
+    std::string_view keywords, const api::QueryOptions& options) const {
   std::vector<Hit> hits = index_.SearchQuery(keywords);
 
   // Pre-rank data subjects by global importance. Under subject ranking the
@@ -84,12 +96,12 @@ std::vector<QueryResult> SearchContext::Query(
     if (a.relation != b.relation) return a.relation < b.relation;
     return a.tuple < b.tuple;
   });
-  if (options.ranking == ResultRanking::kSubjectImportance &&
+  if (options.ranking == api::ResultRanking::kSubjectImportance &&
       hits.size() > options.max_results) {
     hits.resize(options.max_results);
   }
 
-  std::vector<QueryResult> results;
+  std::vector<api::QueryResult> results;
   results.reserve(hits.size());
   // One scratch serves every hit of this query: after the first tree the
   // DP tables reuse the same arena blocks (see core::DpScratch).
@@ -98,7 +110,7 @@ std::vector<QueryResult> SearchContext::Query(
   const bool use_memo = memo.enabled();
   for (const Hit& hit : hits) {
     const gds::Gds& gds = subjects_.at(hit.relation);
-    QueryResult r;
+    api::QueryResult r;
     r.subject = hit;
     r.subject_importance = db_->relation(hit.relation).importance(hit.tuple);
 
@@ -150,9 +162,9 @@ std::vector<QueryResult> SearchContext::Query(
     results.push_back(std::move(r));
   }
 
-  if (options.ranking == ResultRanking::kSummaryImportance) {
+  if (options.ranking == api::ResultRanking::kSummaryImportance) {
     std::stable_sort(results.begin(), results.end(),
-                     [](const QueryResult& a, const QueryResult& b) {
+                     [](const api::QueryResult& a, const api::QueryResult& b) {
                        return a.selection.importance > b.selection.importance;
                      });
     if (results.size() > options.max_results) {
@@ -160,31 +172,6 @@ std::vector<QueryResult> SearchContext::Query(
     }
   }
   return results;
-}
-
-std::vector<std::vector<QueryResult>> SearchContext::QueryBatch(
-    std::span<const std::string> queries, const QueryOptions& options,
-    util::ThreadPool& pool) const {
-  std::vector<std::vector<QueryResult>> results(queries.size());
-  util::ParallelFor(&pool, queries.size(),
-                    [&](size_t i) { results[i] = Query(queries[i], options); });
-  return results;
-}
-
-std::vector<std::vector<QueryResult>> SearchContext::QueryBatch(
-    std::span<const std::string> queries, const QueryOptions& options,
-    size_t num_threads) const {
-  if (num_threads == 0) num_threads = util::ThreadPool::HardwareThreads();
-  num_threads = std::min(num_threads, queries.size());
-  if (num_threads <= 1) {
-    // No pool for degenerate batches; same results by construction.
-    std::vector<std::vector<QueryResult>> results;
-    results.reserve(queries.size());
-    for (const std::string& q : queries) results.push_back(Query(q, options));
-    return results;
-  }
-  util::ThreadPool pool(num_threads);
-  return QueryBatch(queries, options, pool);
 }
 
 api::QueryResponse SearchContext::Execute(
@@ -211,29 +198,13 @@ std::vector<api::QueryResponse> SearchContext::ExecuteBatch(
     std::span<const api::QueryRequest> requests, util::ThreadPool& pool) const {
   std::vector<api::QueryResponse> responses(requests.size());
   // Execute never throws, so the fan-out honors ParallelFor's no-throw
-  // contract by construction (unlike the legacy QueryBatch, where a
-  // backend exception inside a task is fatal).
+  // contract by construction.
   util::ParallelFor(&pool, requests.size(),
                     [&](size_t i) { responses[i] = Execute(requests[i]); });
   return responses;
 }
 
-std::vector<api::QueryResponse> SearchContext::ExecuteBatch(
-    std::span<const api::QueryRequest> requests, size_t num_threads) const {
-  if (num_threads == 0) num_threads = util::ThreadPool::HardwareThreads();
-  num_threads = std::min(num_threads, requests.size());
-  if (num_threads <= 1) {
-    // No pool for degenerate batches; same responses by construction.
-    std::vector<api::QueryResponse> responses;
-    responses.reserve(requests.size());
-    for (const api::QueryRequest& r : requests) responses.push_back(Execute(r));
-    return responses;
-  }
-  util::ThreadPool pool(num_threads);
-  return ExecuteBatch(requests, pool);
-}
-
-std::string SearchContext::Render(const QueryResult& result) const {
+std::string SearchContext::Render(const api::QueryResult& result) const {
   const gds::Gds& gds = subjects_.at(result.subject.relation);
   return result.os.Render(*db_, gds, &result.selection.nodes);
 }

@@ -6,21 +6,20 @@
 // once (database ref, registered G_DSs, inverted index, join back end) is
 // frozen behind a const API, and the query paths allocate all per-query
 // state on their own stack. One context therefore serves any number of
-// threads; the batch paths fan out over a util::ThreadPool and return
+// threads; the batch path fans out over a util::ThreadPool and returns
 // results in input order, byte-identical to running serially.
 //
-// Two query surfaces share one compute path:
+// One query surface over one compute path:
+//   - Query — the compute primitive (string_view keywords + QueryOptions,
+//     exceptions propagate). The serving layer's cache compute callback
+//     rides it.
 //   - Execute/ExecuteBatch — the public api::QueryRequest ->
-//     api::QueryResponse contract: validation and backend failures come
-//     back as typed Status codes (never exceptions), responses carry
-//     compute-time metadata, and an empty answer is distinguishable from
-//     an error. New code should use these.
-//   - Query/QueryBatch — the raw compute primitives (string_view keywords
-//     + QueryOptions, exceptions propagate). The serving layer's cache
-//     compute callback and the legacy callers ride these; they are the
-//     engine room, not the public contract.
+//     api::QueryResponse contract over Query: validation and backend
+//     failures come back as typed Status codes (never exceptions),
+//     responses carry compute-time metadata, and an empty answer is
+//     distinguishable from an error.
 //
-// Thread-safety contract (relied on by the batch paths and enforced by
+// Thread-safety contract (relied on by the batch path and enforced by
 // search_concurrency_test):
 //   - rel::Database, graph::DataGraph, gds::Gds, InvertedIndex: immutable
 //     after their build/annotate phase.
@@ -57,18 +56,6 @@ class ThreadPool;
 
 namespace osum::search {
 
-// The result vocabulary moved to the api layer (it is the wire-encodable
-// public contract; see api/query.h). These aliases keep osum::search
-// spelling working for existing code.
-using QueryResult = api::QueryResult;
-using ResultRanking = api::ResultRanking;
-using QueryOptions = api::QueryOptions;
-
-// A using-declaration, not a wrapper: QueryOptions is api::QueryOptions,
-// so ADL already finds the api function — a second overload would make
-// every unqualified call ambiguous.
-using api::CanonicalQueryKey;
-
 /// The frozen query infrastructure. Build once, share freely.
 class SearchContext {
  public:
@@ -80,7 +67,9 @@ class SearchContext {
 
   /// Builds the inverted index over `subjects` — the only mutating phase.
   /// `db` and `backend` must outlive the context. Subjects keep their
-  /// registration order for indexing; each relation may appear once.
+  /// registration order for indexing. Throws std::invalid_argument when a
+  /// relation appears twice or a G_DS is rooted at a different relation
+  /// than the one it is registered for.
   static SearchContext Build(const rel::Database& db, core::OsBackend* backend,
                              std::vector<Subject> subjects);
 
@@ -99,19 +88,13 @@ class SearchContext {
   /// to Query with the same arguments. Thread-safe like Query.
   api::QueryResponse Execute(const api::QueryRequest& request) const;
 
-  /// Executes `requests` across `num_threads` workers (0 = hardware
-  /// concurrency; clamped to the batch size); one response per request, in
-  /// input order, each byte-identical to calling Execute serially.
-  /// Per-request failures are per-response statuses — one bad request
-  /// cannot sink the batch.
-  std::vector<api::QueryResponse> ExecuteBatch(
-      std::span<const api::QueryRequest> requests,
-      size_t num_threads = 0) const;
-
-  /// ExecuteBatch over an existing pool (reused across batches; the caller
-  /// keeps ownership). Must not be called from a task running on `pool`
-  /// itself — the blocking fan-in would deadlock a fully occupied pool
-  /// (see util::ParallelFor); nested batches need a second pool.
+  /// Executes `requests` over `pool` (reused across batches; the caller
+  /// keeps ownership); one response per request, in input order, each
+  /// byte-identical to calling Execute serially. Per-request failures are
+  /// per-response statuses — one bad request cannot sink the batch. Must
+  /// not be called from a task running on `pool` itself — the blocking
+  /// fan-in would deadlock a fully occupied pool (see util::ParallelFor);
+  /// nested batches need a second pool.
   std::vector<api::QueryResponse> ExecuteBatch(
       std::span<const api::QueryRequest> requests,
       util::ThreadPool& pool) const;
@@ -119,26 +102,11 @@ class SearchContext {
   /// The raw compute primitive behind Execute: runs one keyword query,
   /// propagating backend exceptions. All per-query state lives on this
   /// call's stack; safe to call concurrently from any number of threads.
-  std::vector<QueryResult> Query(std::string_view keywords,
-                                 const QueryOptions& options = {}) const;
-
-  /// Legacy batch over the raw primitive (exceptions terminate — Query
-  /// throwing inside the fan-out violates the pool's no-throw contract).
-  /// Prefer ExecuteBatch, which contains failures as per-response
-  /// statuses. Deterministic: identical to calling Query serially.
-  std::vector<std::vector<QueryResult>> QueryBatch(
-      std::span<const std::string> queries, const QueryOptions& options = {},
-      size_t num_threads = 0) const;
-
-  /// QueryBatch over an existing pool (by-reference so a literal 0 thread
-  /// count can never ambiguously select this overload). Same nested-batch
-  /// caveat as the ExecuteBatch pool overload.
-  std::vector<std::vector<QueryResult>> QueryBatch(
-      std::span<const std::string> queries, const QueryOptions& options,
-      util::ThreadPool& pool) const;
+  std::vector<api::QueryResult> Query(
+      std::string_view keywords, const api::QueryOptions& options = {}) const;
 
   /// Renders one result in the paper's Example 5 format.
-  std::string Render(const QueryResult& result) const;
+  std::string Render(const api::QueryResult& result) const;
 
   const rel::Database& db() const { return *db_; }
   core::OsBackend* backend() const { return backend_; }

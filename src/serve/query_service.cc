@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "util/timer.h"
 
 namespace osum::serve {
 namespace {
-
-/// An already-satisfied future, for the paths (cache hits, invalid
-/// requests) SubmitBatchAsync answers without touching the pool.
-std::future<api::QueryResponse> ReadyResponse(api::QueryResponse response) {
-  std::promise<api::QueryResponse> promise;
-  promise.set_value(std::move(response));
-  return promise.get_future();
-}
 
 /// The zero-copy bridge from the cache's value type to the response's:
 /// shares ownership of the CachedResult while exposing only its immutable
@@ -141,48 +134,36 @@ api::QueryResponse QueryService::ShedResponse(const char* why) {
                                      stats);
 }
 
-ResultPtr QueryService::ComputeCached(std::string_view keywords,
-                                      const search::QueryOptions& options,
-                                      const std::string& key,
-                                      bool* computed_out) {
-  util::WallTimer timer;
-  bool computed = false;
-  // GetOrCompute runs `compute` inline within this frame, so capturing the
-  // caller's `keywords` view is safe — and keeps the hit path free of the
-  // string copy it would never use.
-  ResultPtr result = cache_.GetOrCompute(key, [&]() -> CachedResult {
-    computed = true;
-    // The context is pinned inside the compute callback, i.e. after
-    // GetOrCompute captured its epoch. Together with RebindContext's
-    // swap-then-bump order this makes a stale (old-context) result under a
-    // current epoch impossible: an old pin implies the bump has not
-    // happened yet, so the entry is wiped by the bump's clear. The pin
-    // also keeps the context destroyable-safe: RebindContext does not
-    // return (and so the caller cannot destroy the old context) until
-    // every pin on it is released.
-    PinnedContext ctx(this);
-    CachedResult out;
-    out.results = ctx->Query(keywords, options);
-    out.approx_bytes = ApproxResultBytes(out.results);
-    return out;
-  });
-  RecordLatency(/*hit=*/!computed, /*negative=*/result->negative(),
-                timer.ElapsedMicros());
-  if (computed_out != nullptr) *computed_out = computed;
-  return result;
-}
-
 api::QueryResponse QueryService::ExecuteWithKey(
     const api::QueryRequest& request, const std::string& key) {
   util::WallTimer timer;
   api::QueryStats stats;
   bool computed = false;
   try {
-    ResultPtr result =
-        ComputeCached(request.keywords(), request.options(), key, &computed);
+    // GetOrCompute runs `compute` inline within this frame, so borrowing
+    // the request's keywords is safe — and keeps the hit path free of a
+    // string copy it would never use.
+    ResultPtr result = cache_.GetOrCompute(key, [&]() -> CachedResult {
+      computed = true;
+      // The context is pinned inside the compute callback, i.e. after
+      // GetOrCompute captured its epoch. Together with RebindContext's
+      // swap-then-bump order this makes a stale (old-context) result under
+      // a current epoch impossible: an old pin implies the bump has not
+      // happened yet, so the entry is wiped by the bump's clear. The pin
+      // also keeps the context destroyable-safe: RebindContext does not
+      // return (and so the caller cannot destroy the old context) until
+      // every pin on it is released.
+      PinnedContext ctx(this);
+      CachedResult out;
+      out.results = ctx->Query(request.keywords(), request.options());
+      out.approx_bytes = ApproxResultBytes(out.results);
+      return out;
+    });
+    const double micros = timer.ElapsedMicros();
+    RecordLatency(/*hit=*/!computed, /*negative=*/result->negative(), micros);
     stats.cache_hit = !computed;
     stats.negative = result->negative();
-    stats.compute_micros = timer.ElapsedMicros();
+    stats.compute_micros = micros;
     stats.epoch = cache_.epoch();
     return api::QueryResponse::Success(AliasResults(result), stats);
   } catch (const std::exception& e) {
@@ -209,71 +190,6 @@ std::future<api::QueryResponse> QueryService::SubmitAsync(
       [this, request = std::move(request)]() -> api::QueryResponse {
         return Execute(request);
       });
-}
-
-std::vector<std::future<api::QueryResponse>> QueryService::SubmitBatchAsync(
-    std::vector<api::QueryRequest> requests) {
-  std::vector<std::future<api::QueryResponse>> futures;
-  futures.reserve(requests.size());
-  for (api::QueryRequest& request : requests) {
-    util::WallTimer timer;
-    api::StatusOr<std::string> key = request.ValidatedKey();
-    if (!key.ok()) {
-      api::QueryStats stats;
-      stats.epoch = cache_.epoch();
-      futures.push_back(ReadyResponse(
-          api::QueryResponse::Failure(key.status(), stats)));
-      continue;
-    }
-    if (ResultPtr hit = cache_.Lookup(*key)) {
-      // Answered at submission time: no pool hop, future already ready.
-      double micros = timer.ElapsedMicros();
-      RecordLatency(/*hit=*/true, /*negative=*/hit->negative(), micros);
-      api::QueryStats stats;
-      stats.cache_hit = true;
-      stats.negative = hit->negative();
-      stats.compute_micros = micros;
-      stats.epoch = cache_.epoch();
-      futures.push_back(ReadyResponse(
-          api::QueryResponse::Success(AliasResults(hit), stats)));
-      continue;
-    }
-    // Miss: compute on the pool. The canonical key was computed exactly
-    // once above and travels with the task; duplicates among the misses
-    // coalesce inside ComputeCached's GetOrCompute. ExecuteWithKey never
-    // throws, so the future always resolves to a response. The miss rides
-    // the same overload machinery as SubmitBatch: its relative budget is
-    // stamped into an absolute deadline here, the watermark may shed it
-    // (or a lower-budget pending miss) now, and the deadline is
-    // re-checked at dequeue. SubmitWithFuture runs the task inline after
-    // Stop(), so the ticket is always consumed.
-    uint64_t deadline =
-        request.deadline_micros() == 0
-            ? 0
-            : clock_->NowMicros() + request.deadline_micros();
-    std::shared_ptr<MissTicket> ticket;
-    if (!AdmitMiss(deadline, &ticket)) {
-      futures.push_back(
-          ReadyResponse(ShedResponse("shed at admission: pool over "
-                                     "watermark, lowest budget first")));
-      continue;
-    }
-    futures.push_back(pool_.SubmitWithFuture(
-        [this, request = std::move(request), key = std::move(*key),
-         ticket = std::move(ticket)]() -> api::QueryResponse {
-          switch (BeginMiss(ticket)) {
-            case MissGate::kShedByWatermark:
-              return ShedResponse("shed while queued: pool over "
-                                  "watermark, lowest budget first");
-            case MissGate::kExpiredInQueue:
-              return ShedResponse("deadline expired while queued");
-            case MissGate::kProceed:
-              break;
-          }
-          return ExecuteWithKey(request, key);
-        }));
-  }
-  return futures;
 }
 
 void QueryService::SubmitBatch(
@@ -341,10 +257,10 @@ void QueryService::SubmitBatch(
                               "lowest budget first"));
       continue;
     }
-    // Compute on the pool, same shape as SubmitBatchAsync. ExecuteWithKey
-    // never throws and on_done must not, so the task honors the pool's
-    // no-throw contract. BeginMiss re-checks the budget at dequeue —
-    // time queued behind a backed-up pool counts.
+    // Compute on the pool. ExecuteWithKey never throws and on_done must
+    // not, so the task honors the pool's no-throw contract. BeginMiss
+    // re-checks the budget at dequeue — time queued behind a backed-up
+    // pool counts.
     bool submitted = pool_.Submit(
         [this, i, request = std::move(request), key = std::move(*key),
          ticket, on_done] {
@@ -377,86 +293,30 @@ void QueryService::SubmitBatch(
 
 std::vector<api::QueryResponse> QueryService::ExecuteBatch(
     std::vector<api::QueryRequest> requests) {
-  std::vector<std::future<api::QueryResponse>> futures =
-      SubmitBatchAsync(std::move(requests));
-  std::vector<api::QueryResponse> responses;
-  responses.reserve(futures.size());
-  for (std::future<api::QueryResponse>& f : futures) {
-    responses.push_back(f.get());
+  // One slot per index, filled by on_done on whichever thread answers it.
+  // Shared ownership: a worker may still hold its copy of on_done after
+  // the last answer has woken the waiter below.
+  struct Gather {
+    util::Mutex mu;
+    util::CondVar cv;
+    size_t remaining GUARDED_BY(mu) = 0;
+    std::vector<api::QueryResponse> responses GUARDED_BY(mu);
+  };
+  auto gather = std::make_shared<Gather>();
+  {
+    util::MutexLock lock(gather->mu);
+    gather->remaining = requests.size();
+    gather->responses.resize(requests.size());
   }
-  return responses;
-}
-
-ResultPtr QueryService::Query(std::string_view keywords,
-                              const search::QueryOptions& options) {
-  std::string key = api::CanonicalQueryKey(keywords, options);
-  return ComputeCached(keywords, options, key, nullptr);
-}
-
-std::future<ResultPtr> QueryService::SubmitAsync(std::string keywords,
-                                                 search::QueryOptions options) {
-  return pool_.SubmitWithFuture(
-      [this, keywords = std::move(keywords), options]() -> ResultPtr {
-        return Query(keywords, options);
-      });
-}
-
-void QueryService::Submit(std::string keywords, search::QueryOptions options,
-                          std::function<void(ResultPtr)> callback) {
-  pool_.Submit([this, keywords = std::move(keywords), options,
-                callback = std::move(callback)] {
-    // ThreadPool tasks must not throw (no try/catch in WorkerLoop), and
-    // unlike SubmitAsync there is no future to carry a query exception —
-    // deliver failure as a null result instead of terminating the process.
-    ResultPtr result;
-    try {
-      result = Query(keywords, options);
-    } catch (...) {
-      result = nullptr;
-    }
-    callback(std::move(result));
-  });
-}
-
-std::vector<ResultPtr> QueryService::QueryBatch(
-    std::span<const std::string> queries,
-    const search::QueryOptions& options) {
-  std::vector<ResultPtr> out(queries.size());
-  // The same fan-out shape as SubmitBatchAsync, at the ResultPtr level so
-  // the historical contract (shared cache objects, real exceptions) is
-  // preserved: hits answer inline, each miss becomes one pool future with
-  // its canonical key computed exactly once and threaded through.
-  std::vector<std::pair<size_t, std::future<ResultPtr>>> pending;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    util::WallTimer timer;
-    std::string key = api::CanonicalQueryKey(queries[i], options);
-    out[i] = cache_.Lookup(key);
-    if (out[i] != nullptr) {
-      RecordLatency(/*hit=*/true, /*negative=*/out[i]->negative(),
-                    timer.ElapsedMicros());
-      continue;
-    }
-    // The span element outlives the gather loop below, so the task may
-    // borrow the query string instead of copying it.
-    pending.emplace_back(i, pool_.SubmitWithFuture(
-                                [this, &query = queries[i], options,
-                                 key = std::move(key)]() -> ResultPtr {
-                                  return ComputeCached(query, options, key,
-                                                       nullptr);
-                                }));
-  }
-  // Gather every future (the remaining misses keep running even when one
-  // fails), then rethrow the first failure in input order.
-  std::exception_ptr first_error;
-  for (auto& [index, future] : pending) {
-    try {
-      out[index] = future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return out;
+  SubmitBatch(std::move(requests),
+              [gather](size_t i, api::QueryResponse response) {
+                util::MutexLock lock(gather->mu);
+                gather->responses[i] = std::move(response);
+                if (--gather->remaining == 0) gather->cv.NotifyAll();
+              });
+  util::MutexLock lock(gather->mu);
+  while (gather->remaining != 0) gather->cv.Wait(gather->mu);
+  return std::move(gather->responses);
 }
 
 void QueryService::RebindContext(const search::SearchContext& context) {

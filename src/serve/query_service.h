@@ -3,44 +3,37 @@
 //
 // QueryService is what a production deployment would put between user
 // traffic and the engine. The public contract is the api layer's
-// request/response pair:
+// request/response pair, served by one path per job:
+//   - SubmitBatch(requests, deadlines, on_done) — the served path (what
+//     net::Server calls). Invalid requests, expired budgets and cache
+//     hits are answered inline on the submitting thread; misses pass the
+//     pending-miss watermark and fan out over the shared pool, with
+//     duplicates coalesced onto one computation. The submitting thread
+//     never blocks. The relative-deadline SubmitBatch overload stamps
+//     deadlines at entry and forwards here, and ExecuteBatch is its
+//     blocking wrapper.
 //   - Execute(QueryRequest) -> QueryResponse — cache-aware synchronous
-//     query; validation and backend failures come back as typed Status
-//     codes, and response.stats reports cache hit/miss, wall time and the
-//     cache epoch.
-//   - SubmitAsync(QueryRequest) -> future<QueryResponse> — same answer,
-//     computed on the service's pool.
-//   - SubmitBatchAsync(requests) -> one future per request. Fully async:
-//     cache hits resolve immediately, misses fan out over the shared pool,
-//     and the submitting thread never blocks — the composition point for
-//     an event-loop/RPC front end. Duplicate misses within (and across)
-//     batches coalesce onto one computation.
-// Every path shares one ResultCache keyed by api::CanonicalQueryKey, so
-// skewed workloads — the realistic shape of keyword traffic — collapse
-// onto one computation per distinct (keyword set, options) pair.
-//
-// The string-based overloads (Query / SubmitAsync / Submit / QueryBatch)
-// are deprecated shims over the same machinery: they keep the historical
-// exception-throwing, ResultPtr-returning contract. QueryBatch is
-// reimplemented on top of the per-query-future fan-out and stays
-// byte-identical to serial execution.
+//     query, computed inline on the calling thread; SubmitAsync is the
+//     same call hopped onto the pool.
+// Failures are typed Status codes, never exceptions, and response.stats
+// reports cache hit/miss, wall time and the cache epoch. Every path shares
+// one ResultCache keyed by api::CanonicalQueryKey, so skewed workloads —
+// the realistic shape of keyword traffic — collapse onto one computation
+// per distinct (keyword set, options) pair.
 //
 // Lifetime and threading contract:
-//   - The service *borrows* its SearchContext; the caller keeps it alive
-//     (SizeLSearchEngine::RegisterSubject now throws after BuildIndex
-//     precisely so a borrowed context cannot be destroyed under a
-//     service). All public methods are thread-safe.
+//   - The service *borrows* its SearchContext; the caller keeps it alive.
+//     All public methods are thread-safe.
 //   - When the context is rebuilt, call RebindContext(new_ctx) BEFORE
 //     destroying the old one: it swaps the pointer, bumps the cache
 //     epoch, and blocks until every in-flight query still executing
 //     against the old context has finished — once it returns, the old
 //     context is unreferenced by the service and no result computed
 //     against it is ever served, so the caller may destroy it.
-//   - Callbacks passed to Submit run on worker threads and must not throw
-//     (util::ThreadPool contract). They must not block on QueryBatch or on
-//     SubmitBatchAsync futures (a blocked worker can deadlock a fully
-//     occupied pool); Execute, Query and SubmitAsync are safe from
-//     callbacks.
+//   - SubmitBatch callbacks may run on worker threads and must not throw
+//     (util::ThreadPool contract). They must not block on ExecuteBatch or
+//     on SubmitAsync futures (a blocked worker can deadlock a fully
+//     occupied pool); Execute is safe from callbacks.
 #ifndef OSUM_SERVE_QUERY_SERVICE_H_
 #define OSUM_SERVE_QUERY_SERVICE_H_
 
@@ -51,9 +44,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "api/query.h"
@@ -107,90 +98,52 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Cache-aware synchronous query — the public contract every other
-  /// entry point rides on. Hit: the shared immutable cached result list,
-  /// zero-copy. Miss: computes inline (coalescing concurrent misses for
-  /// the same key), publishes, returns. Invalid requests and backend
-  /// failures come back as non-OK statuses (nothing is cached for
+  /// Cache-aware synchronous query. Hit: the shared immutable cached
+  /// result list, zero-copy. Miss: computes inline (coalescing concurrent
+  /// misses for the same key), publishes, returns. Invalid requests and
+  /// backend failures come back as non-OK statuses (nothing is cached for
   /// either); result bytes are identical to SearchContext::Query with the
   /// same arguments.
   api::QueryResponse Execute(const api::QueryRequest& request);
 
-  /// Async submission of one request: runs on the service's pool; the
-  /// future resolves to the same value Execute would return (it never
+  /// Async submission of one request: runs Execute on the service's pool;
+  /// the future resolves to the same value Execute would return (it never
   /// carries an exception).
   std::future<api::QueryResponse> SubmitAsync(api::QueryRequest request);
 
-  /// The fully async batch: one future per request, in input order.
-  /// Never blocks the submitting thread — cache hits (and invalid
-  /// requests) resolve immediately, misses fan out over the shared pool
-  /// with duplicates coalesced. Futures are independent: consume them in
-  /// any order, or drop them (the computations still populate the cache).
-  std::vector<std::future<api::QueryResponse>> SubmitBatchAsync(
-      std::vector<api::QueryRequest> requests);
-
-  /// Callback twin of SubmitBatchAsync, for event-loop front ends
-  /// (net::Server) that cannot block on futures: identical fan-out —
-  /// invalid requests and cache hits are answered inline on the
-  /// submitting thread, misses run on the pool with duplicates coalesced
-  /// — but each answer is delivered as on_done(index, response) instead
-  /// of a future. on_done may therefore run on the submitting thread or
-  /// on a worker; it must not throw and must not block on other batched
-  /// QueryService calls. Every request is answered exactly once: if the
-  /// pool has already stopped (service teardown), the miss is answered
-  /// inline with kInternal rather than dropped.
+  /// Relative-deadline SubmitBatch: derives each request's absolute
+  /// deadline from its `deadline_micros` budget at entry and forwards to
+  /// the absolute overload below.
   void SubmitBatch(std::vector<api::QueryRequest> requests,
                    std::function<void(size_t, api::QueryResponse)> on_done);
 
-  /// Deadline-aware SubmitBatch: `deadlines_micros[i]` is the ABSOLUTE
-  /// deadline of requests[i] on this service's clock() (0 = none) — the
-  /// wire front end stamps `now + request.deadline_micros()` at decode
-  /// time, so time spent queued in the front end counts against the
-  /// budget. An expired request is answered kDeadlineExceeded at
-  /// admission without touching the cache or backend
-  /// (metrics().sheds_at_admission); a miss whose deadline expires while
-  /// queued behind the pool is answered the same way when dequeued,
-  /// before compute (metrics().sheds_at_dequeue). The plain SubmitBatch
-  /// overload derives deadlines from each request's relative budget at
-  /// entry and forwards here.
+  /// The batch path, for event-loop front ends (net::Server) that cannot
+  /// block: invalid requests and cache hits are answered inline on the
+  /// submitting thread, misses run on the pool with duplicates coalesced,
+  /// and each answer is delivered as on_done(index, response). on_done
+  /// may therefore run on the submitting thread or on a worker; it must
+  /// not throw and must not block on other batched QueryService calls.
+  /// Every request is answered exactly once: if the pool has already
+  /// stopped (service teardown), the miss is answered inline with
+  /// kInternal rather than dropped.
+  ///
+  /// `deadlines_micros[i]` is the ABSOLUTE deadline of requests[i] on this
+  /// service's clock() (0 = none) — the wire front end stamps
+  /// `now + request.deadline_micros()` at decode time, so time spent
+  /// queued in the front end counts against the budget. An expired
+  /// request is answered kDeadlineExceeded at admission without touching
+  /// the cache or backend (metrics().sheds_at_admission); a miss whose
+  /// deadline expires while queued behind the pool is answered the same
+  /// way when dequeued, before compute (metrics().sheds_at_dequeue).
   void SubmitBatch(std::vector<api::QueryRequest> requests,
                    std::vector<uint64_t> deadlines_micros,
                    std::function<void(size_t, api::QueryResponse)> on_done);
 
-  /// Blocking batch over SubmitBatchAsync: responses in input order.
+  /// Blocking batch over SubmitBatch: responses in input order.
   /// Per-request failures are per-response statuses. Must not be called
   /// from a worker callback (see header note).
   std::vector<api::QueryResponse> ExecuteBatch(
       std::vector<api::QueryRequest> requests);
-
-  /// Deprecated shim: cache-aware synchronous query with the historical
-  /// contract — backend failures propagate as exceptions. Prefer Execute.
-  ResultPtr Query(std::string_view keywords,
-                  const search::QueryOptions& options = {});
-
-  /// Deprecated shim: async submission with the historical contract (the
-  /// future rethrows query exceptions). Prefer SubmitAsync(QueryRequest).
-  std::future<ResultPtr> SubmitAsync(std::string keywords,
-                                     search::QueryOptions options = {});
-
-  /// Fire-and-forget: `callback` is invoked on a worker thread with the
-  /// result, or with nullptr if the query threw (there is no future to
-  /// carry the exception). The callback must not throw and must not block
-  /// on other QueryService batched calls.
-  void Submit(std::string keywords, search::QueryOptions options,
-              std::function<void(ResultPtr)> callback);
-
-  /// Deprecated shim, reimplemented over the per-query-future fan-out:
-  /// cache-aware batch, results in input order, byte-identical to serial
-  /// execution. Hits are answered inline from the cache; misses run on
-  /// the pool (duplicates within the batch coalesce onto one
-  /// computation). Blocks until every answer is ready. If any miss
-  /// computation throws, the remaining misses still run and the first
-  /// exception (in input order) is rethrown on the calling thread. Must
-  /// not be called from a worker callback. Prefer ExecuteBatch /
-  /// SubmitBatchAsync.
-  std::vector<ResultPtr> QueryBatch(std::span<const std::string> queries,
-                                    const search::QueryOptions& options = {});
 
   /// Atomically redirects future queries to `context`, invalidates the
   /// cache, and drains: blocks until every in-flight query still executing
@@ -263,18 +216,13 @@ class QueryService {
     util::Summary Snapshot() const;
   };
 
-  /// The one cache-aware compute path every entry point rides: hit,
-  /// coalesced wait, or inline compute under a context pin. `key` is the
-  /// precomputed canonical key (canonicalized exactly once per query —
-  /// callers thread it through). Records hit/miss latency on success
-  /// (negative answers attributed separately); compute exceptions
-  /// propagate (and nothing is recorded or cached).
-  ResultPtr ComputeCached(std::string_view keywords,
-                          const search::QueryOptions& options,
-                          const std::string& key, bool* computed_out);
-
-  /// Status-typed wrapper over ComputeCached for a pre-validated request;
-  /// never throws (the future-based paths rely on that).
+  /// The one cache-aware compute path every entry point rides for a
+  /// pre-validated request: hit, coalesced wait, or inline compute under a
+  /// context pin. `key` is the request's canonical key (canonicalized
+  /// exactly once per query — callers thread it through). Records
+  /// hit/miss latency on success (negative answers attributed
+  /// separately); backend failures become kBackendError and nothing is
+  /// recorded or cached. Never throws (the pooled paths rely on that).
   api::QueryResponse ExecuteWithKey(const api::QueryRequest& request,
                                     const std::string& key);
 

@@ -19,10 +19,10 @@ size_t PerShard(size_t total, size_t shards) {
 
 }  // namespace
 
-size_t ApproxResultBytes(const std::vector<search::QueryResult>& results) {
+size_t ApproxResultBytes(const std::vector<api::QueryResult>& results) {
   size_t bytes = sizeof(CachedResult) +
-                 results.capacity() * sizeof(search::QueryResult);
-  for (const search::QueryResult& r : results) {
+                 results.capacity() * sizeof(api::QueryResult);
+  for (const api::QueryResult& r : results) {
     bytes += r.os.size() * sizeof(core::OsNode);
     for (const core::OsNode& n : r.os.nodes()) {
       bytes += n.children.size() * sizeof(core::OsNodeId);
@@ -54,7 +54,7 @@ ResultCache::ResultCache(ResultCacheOptions options)
 std::string ResultCache::InternalKey(uint64_t epoch,
                                      const std::string& key) const {
   // 0x1d separates the epoch prefix from the caller key (which itself uses
-  // only 0x1e/0x1f as separators, see search::CanonicalQueryKey).
+  // only 0x1e/0x1f as separators, see api::CanonicalQueryKey).
   std::string ikey = std::to_string(epoch);
   ikey += '\x1d';
   ikey += key;

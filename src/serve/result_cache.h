@@ -4,7 +4,7 @@
 //
 // The serving-layer answer to skewed keyword workloads: whole ranked result
 // lists are cached behind canonical (keyword set, options) keys
-// (search::CanonicalQueryKey), so a repeated query costs a mutex + a
+// (api::CanonicalQueryKey), so a repeated query costs a mutex + a
 // shared_ptr copy instead of OS generation + size-l computation — on the
 // database back end a ~65x-amplified saving (paper Figure 10(f)). Design:
 //   - Values are immutable shared_ptr<const CachedResult>: a hit hands the
@@ -77,7 +77,7 @@ namespace osum::serve {
 /// heap footprint (what the byte budget charges). An empty result list is
 /// a *negative* answer (OK, zero hits) and is subject to the negative TTL.
 struct CachedResult {
-  std::vector<search::QueryResult> results;
+  std::vector<api::QueryResult> results;
   size_t approx_bytes = 0;
 
   bool negative() const { return results.empty(); }
@@ -90,7 +90,7 @@ using ResultPtr = std::shared_ptr<const CachedResult>;
 /// Conservative heap-footprint estimate of a result list (QueryResult
 /// shells + OS node arenas + children lists + selections), for
 /// CachedResult::approx_bytes.
-size_t ApproxResultBytes(const std::vector<search::QueryResult>& results);
+size_t ApproxResultBytes(const std::vector<api::QueryResult>& results);
 
 /// Time- and skew-aware policy knobs. Defaults preserve the historical
 /// behavior: admit everything, keep it forever.

@@ -1,6 +1,6 @@
 // Fixed-size worker pool and fan-out/fan-in helpers.
 //
-// Built for the batched query path (search::SearchContext::QueryBatch):
+// Built for the batched query path (search::SearchContext::ExecuteBatch):
 // queries are embarrassingly parallel against shared immutable structures,
 // so all that is needed is a FIFO pool and a dynamic-scheduling
 // ParallelFor (joined via std::latch). Tasks must not throw — there is no

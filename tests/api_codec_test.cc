@@ -1,10 +1,10 @@
-// Wire codec guarantees: binary and JSON round trips are byte-identical
+// Wire codec guarantees: binary round trips are byte-identical
 // (property-tested over real query results from both join back ends, plus
 // empty and error responses), the v1 binary layout is pinned by a
-// checked-in golden blob, hostile bytes decode to typed kCodecError
-// statuses (never crashes), and the request/response API path produces
-// responses byte-identical to the legacy SearchContext::Query output on
-// DBLP and TPC-H.
+// checked-in golden blob, the emit-only JSON form is pinned by golden
+// strings, hostile bytes decode to typed kCodecError statuses (never
+// crashes), and the request/response API path produces responses
+// byte-identical to the SearchContext::Query primitive on DBLP and TPC-H.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +18,7 @@
 #include "db_fixtures.h"
 #include "search/search_context.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace osum::api {
 namespace {
@@ -43,11 +44,8 @@ search::SearchContext BuildTpchContext(const datasets::Tpch& t,
   return search::SearchContext::Build(t.db, backend, std::move(subjects));
 }
 
-/// The full round-trip property for one response:
-///   binary: Decode(Encode(r)) re-encodes to the same bytes and
-///           fingerprints identically;
-///   JSON:   FromJson(ToJson(r)) reproduces the canonical document
-///           byte-for-byte and binary-encodes to the same bytes.
+/// The round-trip property for one response: Decode(Encode(r)) re-encodes
+/// to the same bytes and fingerprints identically.
 void ExpectRoundTrips(const QueryResponse& response) {
   std::string bytes = EncodeResponse(response);
   StatusOr<QueryResponse> decoded = DecodeResponse(bytes);
@@ -60,14 +58,6 @@ void ExpectRoundTrips(const QueryResponse& response) {
   EXPECT_EQ(decoded->stats.epoch, response.stats.epoch);
   EXPECT_DOUBLE_EQ(decoded->stats.compute_micros,
                    response.stats.compute_micros);
-
-  std::string json = ResponseToJson(response);
-  StatusOr<QueryResponse> from_json = ResponseFromJson(json);
-  ASSERT_TRUE(from_json.ok()) << from_json.status().ToString();
-  EXPECT_EQ(ResponseToJson(*from_json), json);
-  EXPECT_EQ(EncodeResponse(*from_json), bytes);
-  EXPECT_EQ(DeterministicResponseText(*from_json),
-            DeterministicResponseText(response));
 }
 
 void ExpectRequestRoundTrips(const QueryRequest& request) {
@@ -79,13 +69,6 @@ void ExpectRequestRoundTrips(const QueryRequest& request) {
   EXPECT_EQ(decoded->options().CacheKeyFragment(),
             request.options().CacheKeyFragment());
   EXPECT_EQ(decoded->deadline_micros(), request.deadline_micros());
-
-  std::string json = RequestToJson(request);
-  StatusOr<QueryRequest> from_json = RequestFromJson(json);
-  ASSERT_TRUE(from_json.ok()) << from_json.status().ToString();
-  EXPECT_EQ(RequestToJson(*from_json), json);
-  EXPECT_EQ(EncodeRequest(*from_json), bytes);
-  EXPECT_EQ(from_json->deadline_micros(), request.deadline_micros());
 }
 
 TEST(RequestCodec, RoundTripsEveryKnobCombination) {
@@ -109,25 +92,9 @@ TEST(RequestCodec, RoundTripsEveryKnobCombination) {
       }
     }
   }
-  // Keywords that need JSON escaping survive both forms.
+  // Keywords with quotes, backslashes and control characters survive.
   ExpectRequestRoundTrips(QueryRequest("with \"quotes\" and \\slashes\\ \n"));
   ExpectRequestRoundTrips(QueryRequest(""));
-}
-
-TEST(RequestCodec, JsonToleratesWhitespaceAndFieldOrder) {
-  StatusOr<QueryRequest> request = RequestFromJson(R"({
-    "kind": "query_request",
-    "use_prelim": false,
-    "keywords": "mining graphs",
-    "l": 12, "max_results": 4, "algorithm": 1, "ranking": 1,
-    "v": 1
-  })");
-  ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request->keywords(), "mining graphs");
-  EXPECT_EQ(request->options().l, 12u);
-  EXPECT_EQ(request->options().algorithm, core::SizeLAlgorithm::kDpEnumerate);
-  EXPECT_EQ(request->options().ranking, ResultRanking::kSummaryImportance);
-  EXPECT_FALSE(request->options().use_prelim);
 }
 
 // -- Cross-version: the deadline revision (wire v2) ------------------------
@@ -163,12 +130,10 @@ TEST(RequestCodecV2, DeadlineRequestsRoundTripInBothForms) {
                               .WithPrelim(true)
                               .WithRanking(ResultRanking::kSummaryImportance)
                               .WithDeadlineMicros(2'500'000));
-  // Largest deadline both forms can carry (JSON shares the usual 2^53
-  // integer precision limit).
   ExpectRequestRoundTrips(QueryRequest("mining").WithDeadlineMicros(
       (uint64_t{1} << 53) - 1));
 
-  // Binary alone carries the full u64 range.
+  // The binary form carries the full u64 range.
   QueryRequest max_deadline =
       QueryRequest("x").WithDeadlineMicros(UINT64_MAX);
   StatusOr<QueryRequest> decoded =
@@ -232,45 +197,6 @@ TEST(RequestCodecV2, EveryTruncationOfADeadlineBlobIsACodecError) {
     ASSERT_FALSE(decoded.ok()) << "prefix of length " << len << " decoded";
     EXPECT_EQ(decoded.status().code(), StatusCode::kCodecError) << len;
   }
-}
-
-/// JSON mirrors the binary versioning rule exactly: the field travels on
-/// v2 documents only, and must be present and nonzero there.
-TEST(RequestCodecV2, JsonVersioningMirrorsTheBinaryRule) {
-  StatusOr<QueryRequest> parsed = RequestFromJson(R"({
-    "v": 2, "kind": "query_request", "keywords": "mining graphs",
-    "l": 12, "max_results": 4, "algorithm": 1, "use_prelim": false,
-    "ranking": 1, "deadline_micros": 2500
-  })");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->deadline_micros(), 2'500u);
-  EXPECT_EQ(parsed->keywords(), "mining graphs");
-
-  // A v1 document must not smuggle the field in — silently dropping it
-  // would be the JSON twin of the binary truncation bug.
-  EXPECT_EQ(RequestFromJson(
-                R"({"v":1,"kind":"query_request","keywords":"x","l":5,)"
-                R"("max_results":10,"algorithm":0,"use_prelim":true,)"
-                R"("ranking":0,"deadline_micros":7})")
-                .status()
-                .code(),
-            StatusCode::kCodecError);
-  // A v2 document without the field is incomplete...
-  EXPECT_EQ(RequestFromJson(
-                R"({"v":2,"kind":"query_request","keywords":"x","l":5,)"
-                R"("max_results":10,"algorithm":0,"use_prelim":true,)"
-                R"("ranking":0})")
-                .status()
-                .code(),
-            StatusCode::kCodecError);
-  // ...and a zero deadline belongs on v1, not v2.
-  EXPECT_EQ(RequestFromJson(
-                R"({"v":2,"kind":"query_request","keywords":"x","l":5,)"
-                R"("max_results":10,"algorithm":0,"use_prelim":true,)"
-                R"("ranking":0,"deadline_micros":0})")
-                .status()
-                .code(),
-            StatusCode::kCodecError);
 }
 
 TEST(ResponseCodec, RoundTripsRealResultsFromTheDataGraphBackend) {
@@ -630,92 +556,59 @@ TEST(RequestCodecV2, AppendedBytesAreAlwaysFatal) {
                      decode, /*seed=*/0x7A16);
 }
 
-TEST(ResponseCodec, RejectsMalformedJson) {
-  EXPECT_EQ(ResponseFromJson("").status().code(), StatusCode::kCodecError);
-  EXPECT_FALSE(ResponseFromJson("{").ok());
-  EXPECT_FALSE(ResponseFromJson("[1,2,3]").ok());
-  EXPECT_FALSE(ResponseFromJson(R"({"v":1,"kind":"query_request"})").ok());
-  EXPECT_FALSE(ResponseFromJson(R"({"v":2,"kind":"query_response"})").ok());
-  EXPECT_FALSE(RequestFromJson(R"({"v":1,"kind":"query_request"})").ok())
-      << "missing fields must not default silently";
-  EXPECT_FALSE(
-      RequestFromJson(
-          R"({"v":1,"kind":"query_request","keywords":"x","l":1,)"
-          R"("max_results":2,"algorithm":17,"use_prelim":true,"ranking":0})")
-          .ok());
-  // os nodes whose parent pointers do not form a BFS arena are rejected.
-  EXPECT_FALSE(
-      ResponseFromJson(
-          R"({"v":1,"kind":"query_response",)"
-          R"("status":{"code":0,"message":""},)"
-          R"("stats":{"cache_hit":false,"compute_us":0,"epoch":0},)"
-          R"("results":[{"subject":{"relation":0,"tuple":0},)"
-          R"("importance":1,"os":[[-1,0,0,0,0,1],[5,0,0,1,1,1]],)"
-          R"("selection":{"importance":1,"nodes":[0]}}]})")
-          .ok());
+// -- JSON (emit-only) -------------------------------------------------------
+
+// The JSON encoders' exact output, pinned: fixed field order, the binary
+// versioning rule (v2 iff a deadline), %.17g doubles and escaped strings.
+// Nothing parses JSON back, so these strings are the whole contract.
+TEST(JsonCodec, GoldenV1Request) {
+  EXPECT_EQ(RequestToJson(QueryRequest("christos \"faloutsos\"")
+                              .WithL(12)
+                              .WithMaxResults(4)
+                              .WithAlgorithm(core::SizeLAlgorithm::kDp)
+                              .WithPrelim(false)
+                              .WithRanking(ResultRanking::kSummaryImportance)),
+            R"({"v":1,"kind":"query_request",)"
+            R"("keywords":"christos \"faloutsos\"","l":12,"max_results":4,)"
+            R"("algorithm":0,"use_prelim":false,"ranking":1})");
 }
 
-// Numbers a double can hold but an integer field cannot (1e300, 1e999 ==
-// inf, negatives, fractions) must come back as kCodecError — converting
-// them blindly would be undefined behavior, not just wrong data.
-TEST(ResponseCodec, RejectsOutOfRangeJsonIntegers) {
-  auto response_with = [](std::string_view stats, std::string_view results) {
-    return std::string(R"({"v":1,"kind":"query_response",)") +
-           R"("status":{"code":0,"message":""},"stats":)" +
-           std::string(stats) + R"(,"results":)" + std::string(results) + "}";
-  };
-  const std::string ok_stats =
-      R"({"cache_hit":false,"compute_us":0,"epoch":0})";
-  // Hostile epoch: 1e300 is integral and non-negative but far over 2^64.
-  EXPECT_EQ(ResponseFromJson(response_with(
-                                 R"({"cache_hit":false,"compute_us":0,)"
-                                 R"("epoch":1e300})",
-                                 "[]"))
-                .status()
-                .code(),
-            StatusCode::kCodecError);
-  // 1e999 overflows strtod to +inf; floor(inf) == inf must not pass.
-  EXPECT_EQ(ResponseFromJson(response_with(
-                                 R"({"cache_hit":false,"compute_us":0,)"
-                                 R"("epoch":1e999})",
-                                 "[]"))
-                .status()
-                .code(),
-            StatusCode::kCodecError);
-  // Hostile os-node tuple id and subject ids.
-  EXPECT_FALSE(ResponseFromJson(response_with(
-                                    ok_stats,
-                                    R"([{"subject":{"relation":0,"tuple":0},)"
-                                    R"("importance":1,)"
-                                    R"("os":[[-1,0,0,1e300,0,1]],)"
-                                    R"("selection":{"importance":1,)"
-                                    R"("nodes":[0]}}])"))
-                   .ok());
-  EXPECT_FALSE(ResponseFromJson(response_with(
-                                    ok_stats,
-                                    R"([{"subject":{"relation":1e300,)"
-                                    R"("tuple":0},"importance":1,)"
-                                    R"("os":[[-1,0,0,0,0,1]],)"
-                                    R"("selection":{"importance":1,)"
-                                    R"("nodes":[0]}}])"))
-                   .ok());
-  // Fractional integers are also rejected.
-  EXPECT_FALSE(RequestFromJson(
-                   R"({"v":1,"kind":"query_request","keywords":"x",)"
-                   R"("l":1.5,"max_results":2,"algorithm":0,)"
-                   R"("use_prelim":true,"ranking":0})")
-                   .ok());
-  // JSON failure responses carrying results violate the response
-  // invariant, mirroring the binary decoder.
-  EXPECT_EQ(ResponseFromJson(
-                std::string(R"({"v":1,"kind":"query_response",)") +
-                R"("status":{"code":2,"message":"boom"},"stats":)" + ok_stats +
-                R"(,"results":[{"subject":{"relation":0,"tuple":0},)"
-                R"("importance":1,"os":[[-1,0,0,0,0,1]],)"
-                R"("selection":{"importance":1,"nodes":[0]}}]})")
-                .status()
-                .code(),
-            StatusCode::kCodecError);
+TEST(JsonCodec, GoldenV2RequestCarriesTheDeadline) {
+  EXPECT_EQ(RequestToJson(QueryRequest("mining graphs").WithDeadlineMicros(
+                2'500)),
+            R"({"v":2,"kind":"query_request","keywords":"mining graphs",)"
+            R"("l":15,"max_results":10,"algorithm":3,"use_prelim":true,)"
+            R"("ranking":0,"deadline_micros":2500})");
+}
+
+TEST(JsonCodec, GoldenErrorResponse) {
+  QueryStats stats;
+  stats.compute_micros = 0.5;
+  stats.epoch = 3;
+  EXPECT_EQ(ResponseToJson(QueryResponse::Failure(
+                Status::BackendError("join failed:\n\"outage\""), stats)),
+            R"({"v":1,"kind":"query_response",)"
+            R"("status":{"code":2,"message":"join failed:\n\"outage\""},)"
+            R"("stats":{"cache_hit":false,"compute_us":0.5,"epoch":3},)"
+            R"("results":[]})");
+}
+
+TEST(JsonCodec, GoldenBlobResponse) {
+  StatusOr<std::string> bytes = FromHex(ReadGoldenHex());
+  ASSERT_TRUE(bytes.ok());
+  StatusOr<QueryResponse> decoded = DecodeResponse(*bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(ResponseToJson(*decoded),
+            R"({"v":1,"kind":"query_response",)"
+            R"("status":{"code":0,"message":""},)"
+            R"("stats":{"cache_hit":true,"compute_us":123.5,"epoch":4},)"
+            R"("results":[{"subject":{"relation":2,"tuple":7},)"
+            R"("importance":1.5,"os":[[-1,0,2,7,0,1.5],[0,1,3,11,1,0.75],)"
+            R"([0,2,4,12,1,0.5],[1,3,3,13,2,0.25]],)"
+            R"("selection":{"importance":2.5,"nodes":[0,1,3]}},)"
+            R"({"subject":{"relation":4,"tuple":1},"importance":0.125,)"
+            R"("os":[[-1,0,4,1,0,0.125]],)"
+            R"("selection":{"importance":0.125,"nodes":[0]}}]})");
 }
 
 TEST(Hex, RoundTripsAndRejectsGarbage) {
@@ -728,16 +621,16 @@ TEST(Hex, RoundTripsAndRejectsGarbage) {
   EXPECT_TRUE(FromHex("AbCd").ok());   // case-insensitive
 }
 
-// The headline migration invariant (acceptance): a response produced via
-// the request/response API is byte-identical to the legacy
-// SearchContext::Query output — on both back ends, on both datasets.
+// The headline invariant: a response produced via the request/response
+// API is byte-identical to the SearchContext::Query primitive's output —
+// on both back ends, on both datasets.
 TEST(ApiEquivalence, ExecuteMatchesLegacyQueryOnDblpBothBackends) {
   ScoredDblp f(SmallDblpConfig());
   core::DatabaseBackend db_backend(f.d.db, f.d.links,
                                    /*per_select_micros=*/0.0);
   search::SearchContext graph_ctx = BuildDblpContext(f.d, &f.backend);
   search::SearchContext db_ctx = BuildDblpContext(f.d, &db_backend);
-  search::QueryOptions options;
+  QueryOptions options;
   options.l = 9;
   options.max_results = 4;
   for (const search::SearchContext* ctx : {&graph_ctx, &db_ctx}) {
@@ -762,7 +655,7 @@ TEST(ApiEquivalence, ExecuteMatchesLegacyQueryOnTpch) {
     QueryResponse response =
         ctx.Execute(QueryRequest(keywords).WithL(10));
     ASSERT_TRUE(response.ok());
-    search::QueryOptions options;
+    QueryOptions options;
     options.l = 10;
     EXPECT_EQ(DeterministicResultText(response.result_list()),
               DeterministicResultText(ctx.Query(keywords, options)))
@@ -790,7 +683,8 @@ TEST(ApiEquivalence, ExecuteBatchMatchesSerialExecute) {
                                "graphs", "faloutsos"}) {
     requests.push_back(QueryRequest(keywords).WithL(7).WithMaxResults(3));
   }
-  std::vector<QueryResponse> batched = ctx.ExecuteBatch(requests, 4);
+  util::ThreadPool pool(4);
+  std::vector<QueryResponse> batched = ctx.ExecuteBatch(requests, pool);
   ASSERT_EQ(batched.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     QueryResponse serial = ctx.Execute(requests[i]);

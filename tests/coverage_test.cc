@@ -11,7 +11,7 @@
 #include "db_fixtures.h"
 #include "eval/evaluator.h"
 #include "gds/affinity.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "util/timer.h"
 
 namespace osum {
@@ -280,11 +280,14 @@ TEST(MiscCore, EqualWeightsAreDeterministic) {
 TEST(MiscCore, SearchEngineOnTpch) {
   ScoredTpch f(SmallTpchConfig());
   datasets::Tpch& t = f.t;
-  search::SizeLSearchEngine engine(t.db, &f.backend);
-  engine.RegisterSubject(t.customer, datasets::TpchCustomerGds(t));
-  engine.RegisterSubject(t.supplier, datasets::TpchSupplierGds(t));
-  engine.BuildIndex();
-  auto results = engine.Query("customer#42");
+  std::vector<search::SearchContext::Subject> subjects;
+  subjects.push_back({t.customer, datasets::TpchCustomerGds(t)});
+  subjects.push_back({t.supplier, datasets::TpchSupplierGds(t)});
+  search::SearchContext ctx =
+      search::SearchContext::Build(t.db, &f.backend, std::move(subjects));
+  api::QueryResponse response = ctx.Execute(api::QueryRequest("customer#42"));
+  ASSERT_TRUE(response.ok()) << response.status.ToString();
+  const api::ResultList& results = response.result_list();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].subject.relation, t.customer);
   EXPECT_EQ(results[0].subject.tuple, 42u);

@@ -9,7 +9,7 @@
 #include "core/os_generator.h"
 #include "core/word_budget.h"
 #include "datasets/dblp.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "tree_fixtures.h"
 #include "util/string_util.h"
 
@@ -265,16 +265,31 @@ TEST(OsJson, EmptyTreeAndMissingRoot) {
 
 // ------------------------------------------------------------ result ranking
 
+/// An author-only context over the fixture's DBLP instance.
+search::SearchContext AuthorContext(ExtFixture& f) {
+  std::vector<search::SearchContext::Subject> subjects;
+  subjects.push_back({f.d.author, datasets::DblpAuthorGds(f.d)});
+  return search::SearchContext::Build(f.d.db, &f.backend, std::move(subjects));
+}
+
+/// The ranked results of one Execute; a failed request fails the test.
+api::ResultList RunQuery(const search::SearchContext& ctx,
+                         const char* keywords,
+                         const api::QueryOptions& options) {
+  api::QueryResponse response =
+      ctx.Execute(api::QueryRequest(keywords, options));
+  EXPECT_TRUE(response.ok()) << response.status.ToString();
+  return response.result_list();
+}
+
 TEST(SummaryRanking, OrdersBySizeLImportance) {
   ExtFixture f;
-  search::SizeLSearchEngine engine(f.d.db, &f.backend);
-  engine.RegisterSubject(f.d.author, datasets::DblpAuthorGds(f.d));
-  engine.BuildIndex();
+  search::SearchContext ctx = AuthorContext(f);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
-  options.ranking = search::ResultRanking::kSummaryImportance;
-  auto results = engine.Query("Faloutsos", options);
+  options.ranking = api::ResultRanking::kSummaryImportance;
+  api::ResultList results = RunQuery(ctx, "Faloutsos", options);
   ASSERT_EQ(results.size(), 3u);
   for (size_t i = 0; i + 1 < results.size(); ++i) {
     EXPECT_GE(results[i].selection.importance,
@@ -284,19 +299,17 @@ TEST(SummaryRanking, OrdersBySizeLImportance) {
 
 TEST(SummaryRanking, TruncatesAfterRanking) {
   ExtFixture f;
-  search::SizeLSearchEngine engine(f.d.db, &f.backend);
-  engine.RegisterSubject(f.d.author, datasets::DblpAuthorGds(f.d));
-  engine.BuildIndex();
+  search::SearchContext ctx = AuthorContext(f);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 6;
   options.max_results = 1;
-  options.ranking = search::ResultRanking::kSummaryImportance;
-  auto top1 = engine.Query("Faloutsos", options);
+  options.ranking = api::ResultRanking::kSummaryImportance;
+  api::ResultList top1 = RunQuery(ctx, "Faloutsos", options);
   ASSERT_EQ(top1.size(), 1u);
 
   options.max_results = 3;
-  auto top3 = engine.Query("Faloutsos", options);
+  api::ResultList top3 = RunQuery(ctx, "Faloutsos", options);
   ASSERT_EQ(top3.size(), 3u);
   // The retained result is the global best, not just the best of a
   // pre-truncated subject list.

@@ -32,7 +32,7 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "serve/clock.h"
 #include "serve/query_service.h"
 
@@ -248,7 +248,7 @@ struct RawListener {
   int Accept() { return ::accept(fd, nullptr, nullptr); }
 };
 
-/// One small DBLP database + engine context + service + running server.
+/// One small DBLP database + search context + service + running server.
 struct ServerFixture {
   explicit ServerFixture(ServerOptions options = {},
                          core::OsBackend* backend_override = nullptr)
@@ -680,7 +680,7 @@ TEST(NetOverload, TightDeadlinesShedWithoutComputeGenerousOnesSucceed) {
   CountingBackend twin_counter(&dblp.backend);
   search::SearchContext twin = BuildDblpContext(dblp.d, &twin_counter);
   uint64_t twin_before = twin_counter.fetches();
-  search::QueryOptions blocker_options;
+  api::QueryOptions blocker_options;
   blocker_options.l = 8;
   blocker_options.max_results = 2;
   (void)twin.Query("faloutsos", blocker_options);

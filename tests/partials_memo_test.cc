@@ -206,7 +206,7 @@ TEST(PartialsMemoIntegration, MemoOnMatchesMemoOffByteForByte) {
   off.enabled = false;
   without_memo.partials_memo().Configure(off);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 5;
   for (const char* keywords :
        {"databases", "faloutsos", "christos faloutsos"}) {
@@ -231,7 +231,7 @@ TEST(PartialsMemoIntegration, MemoOnMatchesMemoOffByteForByte) {
 TEST(PartialsMemoIntegration, OverlappingQueriesShareSubjectWork) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 5;
 
   ctx.Query("faloutsos", options);
@@ -251,7 +251,7 @@ TEST(PartialsMemoIntegration, OverlappingQueriesShareSubjectWork) {
 TEST(PartialsMemoIntegration, BumpEpochForcesRecomputeWithIdenticalResults) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 5;
 
   std::string golden = DeterministicResultText(ctx.Query("databases", options));
@@ -272,11 +272,11 @@ TEST(PartialsMemoIntegration, DistinctLAndAlgorithmDoNotCollide) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
 
-  search::QueryOptions l5;
+  api::QueryOptions l5;
   l5.l = 5;
-  search::QueryOptions l3 = l5;
+  api::QueryOptions l3 = l5;
   l3.l = 3;
-  search::QueryOptions dp = l5;
+  api::QueryOptions dp = l5;
   dp.algorithm = core::SizeLAlgorithm::kDp;
 
   // Golden answers from a memo-free context.
@@ -356,11 +356,11 @@ void ExpectCompleteOsSweepMatchesMemoOff(const datasets::Tpch& t,
           core::SizeLAlgorithm::kBottomUp}) {
       for (size_t l : kSweepLs) {
         SCOPED_TRACE("l=" + std::to_string(l));
-        search::QueryOptions options;
+        api::QueryOptions options;
         options.l = l;
         options.use_prelim = false;
         options.algorithm = algorithm;
-        std::vector<search::QueryResult> on = with_memo.Query(name, options);
+        std::vector<api::QueryResult> on = with_memo.Query(name, options);
         ASSERT_EQ(on.size(), 1u);
         EXPECT_EQ(DeterministicResultText(on),
                   DeterministicResultText(without_memo.Query(name, options)));
@@ -402,19 +402,19 @@ TEST(PartialsMemoLSweep, ShallowTreeNeverServesADeeperRequest) {
   search::SearchContext plain = MemoOff(BuildTpchContext(f.t, &f.backend));
   const std::string name = TpchSubjectNames(f.t).front();
 
-  search::QueryOptions shallow;
+  api::QueryOptions shallow;
   shallow.l = 2;
   shallow.use_prelim = false;
   shallow.algorithm = core::SizeLAlgorithm::kDp;
-  search::QueryOptions deep = shallow;
+  api::QueryOptions deep = shallow;
   deep.l = 5;
 
-  std::vector<search::QueryResult> l2 = ctx.Query(name, shallow);
+  std::vector<api::QueryResult> l2 = ctx.Query(name, shallow);
   ASSERT_EQ(l2.size(), 1u);
   PartialsMemoMetrics after_shallow = ctx.partials_memo().metrics();
   ASSERT_EQ(after_shallow.misses, 1u);
 
-  std::vector<search::QueryResult> l5 = ctx.Query(name, deep);
+  std::vector<api::QueryResult> l5 = ctx.Query(name, deep);
   ASSERT_EQ(l5.size(), 1u);
   PartialsMemoMetrics after_deep = ctx.partials_memo().metrics();
   // The depth-1 tree must not answer the depth-4 request: a miss, a new
@@ -435,10 +435,10 @@ TEST(PartialsMemoLSweep, PrelimTreesStayKeyedByL) {
   search::SearchContext plain = MemoOff(BuildTpchContext(f.t, &f.backend));
   const std::string name = TpchSubjectNames(f.t).front();
 
-  search::QueryOptions l5;
+  api::QueryOptions l5;
   l5.l = 5;
   l5.use_prelim = true;
-  search::QueryOptions l10 = l5;
+  api::QueryOptions l10 = l5;
   l10.l = 10;
 
   // Both l past the G_DS depth, so a complete OS would share one tree;

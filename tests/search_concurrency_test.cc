@@ -1,6 +1,6 @@
-// Concurrency guarantees of the search layer: QueryBatch over a shared
-// immutable SearchContext must be byte-identical to serial Query execution
-// on both join back ends, and hammering one context from many threads must
+// Concurrency guarantees of the search layer: ExecuteBatch over a shared
+// immutable SearchContext must be byte-identical to serial Execute on both
+// join back ends, and hammering one context from many threads must
 // expose zero mutable shared state (run under TSan via
 // `OSUM_SANITIZE=thread`, see scripts/ci.sh).
 #include <atomic>
@@ -22,6 +22,9 @@ namespace {
 using osum::testing::ScoredDblp;
 using osum::testing::ScoredTpch;
 using osum::api::DeterministicResultText;
+using osum::api::QueryOptions;
+using osum::api::QueryRequest;
+using osum::api::QueryResponse;
 using osum::testing::SmallDblpConfig;
 using osum::testing::SmallTpchConfig;
 
@@ -46,20 +49,48 @@ SearchContext BuildDblpContext(const datasets::Dblp& d,
   return SearchContext::Build(d.db, backend, std::move(subjects));
 }
 
+std::vector<QueryRequest> Requests(const std::vector<std::string>& mix,
+                                   const QueryOptions& options) {
+  std::vector<QueryRequest> requests;
+  requests.reserve(mix.size());
+  for (const std::string& q : mix) requests.emplace_back(q, options);
+  return requests;
+}
+
+/// The result fingerprint of every response; a failed response fails the
+/// test (the mixes hold only valid requests).
+std::vector<std::string> Fingerprints(
+    const std::vector<QueryResponse>& responses) {
+  std::vector<std::string> out;
+  out.reserve(responses.size());
+  for (const QueryResponse& response : responses) {
+    EXPECT_TRUE(response.ok()) << response.status.ToString();
+    out.push_back(DeterministicResultText(response.result_list()));
+  }
+  return out;
+}
+
+std::vector<std::string> SerialFingerprints(
+    const SearchContext& ctx, const std::vector<QueryRequest>& requests) {
+  std::vector<QueryResponse> serial;
+  serial.reserve(requests.size());
+  for (const QueryRequest& r : requests) serial.push_back(ctx.Execute(r));
+  return Fingerprints(serial);
+}
+
 void ExpectBatchMatchesSerial(const SearchContext& ctx,
                               const std::vector<std::string>& mix,
                               const QueryOptions& options) {
-  std::vector<std::string> serial;
-  serial.reserve(mix.size());
-  for (const std::string& q : mix) {
-    serial.push_back(DeterministicResultText(ctx.Query(q, options)));
-  }
+  const std::vector<QueryRequest> requests = Requests(mix, options);
+  const std::vector<std::string> serial = SerialFingerprints(ctx, requests);
 
   for (size_t threads : {2u, 4u, 8u}) {
-    auto batch = ctx.QueryBatch(mix, options, threads);
+    util::ThreadPool pool(threads);
+    std::vector<std::string> batch =
+        Fingerprints(ctx.ExecuteBatch(requests, pool));
     ASSERT_EQ(batch.size(), mix.size()) << threads << " threads";
     for (size_t i = 0; i < mix.size(); ++i) {
-      EXPECT_EQ(DeterministicResultText(batch[i]), serial[i])
+      EXPECT_EQ(batch[i], serial[i])
           << "query \"" << mix[i] << "\" diverged at " << threads
           << " threads";
     }
@@ -113,25 +144,28 @@ TEST(QueryBatchEquivalence, BothBackendsAgreeOnTpch) {
   ExpectBatchMatchesSerial(sql_ctx, mix, options);
   // The back ends themselves must agree tuple-for-tuple (importance-sorted
   // access paths make OS generation backend-independent).
-  auto a = graph_ctx.QueryBatch(mix, options, size_t{4});
-  auto b = sql_ctx.QueryBatch(mix, options, size_t{4});
+  const std::vector<QueryRequest> requests = Requests(mix, options);
+  util::ThreadPool pool(4);
+  std::vector<std::string> a =
+      Fingerprints(graph_ctx.ExecuteBatch(requests, pool));
+  std::vector<std::string> b =
+      Fingerprints(sql_ctx.ExecuteBatch(requests, pool));
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(DeterministicResultText(a[i]), DeterministicResultText(b[i]))
-        << "query " << mix[i];
+    EXPECT_EQ(a[i], b[i]) << "query " << mix[i];
   }
 }
 
 TEST(QueryBatchEquivalence, DegenerateBatches) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  EXPECT_TRUE(ctx.QueryBatch({}, {}, size_t{4}).empty());
-  std::vector<std::string> one{"faloutsos"};
-  // More threads than queries clamps to the batch size.
-  auto batch = ctx.QueryBatch(one, {}, size_t{16});
+  util::ThreadPool pool(16);
+  EXPECT_TRUE(ctx.ExecuteBatch({}, pool).empty());
+  // A pool wider than the batch leaves the spare workers idle.
+  std::vector<QueryRequest> one{QueryRequest("faloutsos")};
+  std::vector<std::string> batch = Fingerprints(ctx.ExecuteBatch(one, pool));
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(DeterministicResultText(batch[0]),
-            DeterministicResultText(ctx.Query("faloutsos")));
+  EXPECT_EQ(batch[0], SerialFingerprints(ctx, one)[0]);
 }
 
 TEST(QueryBatchEquivalence, SummaryRankingMatchesSerial) {
@@ -140,7 +174,7 @@ TEST(QueryBatchEquivalence, SummaryRankingMatchesSerial) {
   QueryOptions options;
   options.l = 8;
   options.max_results = 5;
-  options.ranking = ResultRanking::kSummaryImportance;
+  options.ranking = api::ResultRanking::kSummaryImportance;
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
@@ -191,7 +225,7 @@ TEST(SearchConcurrencyStress, SharedContextSharedBackend) {
   EXPECT_GT(f.d.db.io_stats().Snapshot().select_calls, 0u);
 }
 
-// Same canary through the pool path: overlapping QueryBatch calls on one
+// Same canary through the pool path: overlapping ExecuteBatch calls on one
 // context (the pool is stressed too — many small batches churn the queue).
 TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
   ScoredDblp f(SmallDblpConfig());
@@ -201,11 +235,8 @@ TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
   options.l = 8;
   options.max_results = 2;
 
-  std::vector<std::string> golden;
-  golden.reserve(mix.size());
-  for (const std::string& q : mix) {
-    golden.push_back(DeterministicResultText(ctx.Query(q, options)));
-  }
+  const std::vector<QueryRequest> requests = Requests(mix, options);
+  const std::vector<std::string> golden = SerialFingerprints(ctx, requests);
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> drivers;
@@ -213,9 +244,10 @@ TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
     drivers.emplace_back([&] {
       util::ThreadPool pool(3);
       for (int round = 0; round < 2; ++round) {
-        auto batch = ctx.QueryBatch(mix, options, pool);
+        std::vector<QueryResponse> batch = ctx.ExecuteBatch(requests, pool);
         for (size_t i = 0; i < mix.size(); ++i) {
-          if (DeterministicResultText(batch[i]) != golden[i]) {
+          if (!batch[i].ok() ||
+              DeterministicResultText(batch[i].result_list()) != golden[i]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }

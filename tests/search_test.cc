@@ -1,11 +1,14 @@
-// Tests for the inverted index and the end-to-end size-l search engine.
+// Tests for the inverted index and the end-to-end size-l search path
+// (SearchContext::Build, then Execute / Render).
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/os_backend.h"
 #include "datasets/dblp.h"
-#include "search/engine.h"
 #include "search/inverted_index.h"
 #include "search/search_context.h"
 
@@ -19,18 +22,34 @@ using datasets::DblpAuthorGds;
 using datasets::DblpConfig;
 using datasets::DblpPaperGds;
 
+using api::QueryOptions;
+using api::QueryResult;
+using api::ResultList;
+
 struct SearchFixture {
   Dblp d;
   core::DataGraphBackend backend;
-  SizeLSearchEngine engine;
+  SearchContext ctx;
 
   SearchFixture()
       : d(MakeDblp()),
         backend(d.db, d.links, d.data_graph),
-        engine(d.db, &backend) {
-    engine.RegisterSubject(d.author, DblpAuthorGds(d));
-    engine.RegisterSubject(d.paper, DblpPaperGds(d));
-    engine.BuildIndex();
+        ctx(BuildContext(d, &backend)) {}
+
+  static SearchContext BuildContext(const Dblp& d,
+                                    core::OsBackend* backend) {
+    std::vector<SearchContext::Subject> subjects;
+    subjects.push_back({d.author, DblpAuthorGds(d)});
+    subjects.push_back({d.paper, DblpPaperGds(d)});
+    return SearchContext::Build(d.db, backend, std::move(subjects));
+  }
+
+  /// The ranked results of one Execute; a failed request fails the test.
+  ResultList Run(std::string keywords, const QueryOptions& options = {}) {
+    api::QueryResponse response =
+        ctx.Execute(api::QueryRequest(std::move(keywords), options));
+    EXPECT_TRUE(response.ok()) << response.status.ToString();
+    return response.result_list();
   }
 
   static Dblp MakeDblp() {
@@ -86,7 +105,7 @@ TEST(Engine, Q1ReturnsThreeRankedSizeLOss) {
   SearchFixture f;
   QueryOptions options;
   options.l = 15;
-  auto results = f.engine.Query("Faloutsos", options);
+  auto results = f.Run("Faloutsos", options);
   ASSERT_EQ(results.size(), 3u);
   // Ranked by global importance, descending.
   EXPECT_GE(results[0].subject_importance, results[1].subject_importance);
@@ -103,7 +122,7 @@ TEST(Engine, SizeLSelectionRespectsL) {
   for (size_t l : {5u, 10u, 30u}) {
     QueryOptions options;
     options.l = l;
-    auto results = f.engine.Query("christos faloutsos", options);
+    auto results = f.Run("christos faloutsos", options);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].selection.nodes.size(),
               std::min(l, results[0].os.size()));
@@ -114,7 +133,7 @@ TEST(Engine, CompleteOsWhenLZero) {
   SearchFixture f;
   QueryOptions options;
   options.l = 0;
-  auto results = f.engine.Query("christos faloutsos", options);
+  auto results = f.Run("christos faloutsos", options);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].selection.nodes.size(), results[0].os.size());
   EXPECT_GT(results[0].os.size(), 100u);  // Christos's OS is large
@@ -124,7 +143,7 @@ TEST(Engine, MaxResultsTruncates) {
   SearchFixture f;
   QueryOptions options;
   options.max_results = 2;
-  auto results = f.engine.Query("Faloutsos", options);
+  auto results = f.Run("Faloutsos", options);
   EXPECT_EQ(results.size(), 2u);
 }
 
@@ -135,8 +154,8 @@ TEST(Engine, PrelimAndCompleteAgreeOnSelectionQuality) {
   with_prelim.use_prelim = true;
   without.use_prelim = false;
   with_prelim.algorithm = without.algorithm = core::SizeLAlgorithm::kDp;
-  auto a = f.engine.Query("christos faloutsos", with_prelim);
-  auto b = f.engine.Query("christos faloutsos", without);
+  auto a = f.Run("christos faloutsos", with_prelim);
+  auto b = f.Run("christos faloutsos", without);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   // Prelim may lose a little quality but not much (Section 6.2: <= 4%).
@@ -145,7 +164,7 @@ TEST(Engine, PrelimAndCompleteAgreeOnSelectionQuality) {
 
 TEST(Engine, MultiSubjectSearchCoversPapers) {
   SearchFixture f;
-  auto results = f.engine.Query("power law");
+  auto results = f.Run("power law");
   EXPECT_GT(results.size(), 0u);
   bool has_paper = false;
   for (const QueryResult& r : results) {
@@ -158,24 +177,33 @@ TEST(Engine, RenderShowsSubjectAndIndentation) {
   SearchFixture f;
   QueryOptions options;
   options.l = 8;
-  auto results = f.engine.Query("christos faloutsos", options);
+  auto results = f.Run("christos faloutsos", options);
   ASSERT_EQ(results.size(), 1u);
-  std::string text = f.engine.Render(results[0]);
+  std::string text = f.ctx.Render(results[0]);
   EXPECT_NE(text.find("Author: Christos Faloutsos"), std::string::npos);
   EXPECT_NE(text.find("..Paper:"), std::string::npos);
 }
 
-TEST(Engine, RegisterSubjectAfterBuildIndexThrows) {
-  // The documented foot-gun, now loud: re-registering would destroy the
-  // live SearchContext under anyone who borrowed it (worker threads,
-  // serve::QueryService), so the engine refuses.
-  SearchFixture f;
-  const SearchContext* before = &f.engine.context();
-  EXPECT_THROW(f.engine.RegisterSubject(f.d.author, DblpAuthorGds(f.d)),
-               std::logic_error);
-  // The context survived untouched and still answers queries.
-  EXPECT_EQ(&f.engine.context(), before);
-  EXPECT_FALSE(f.engine.Query("faloutsos").empty());
+TEST(SearchContext, BuildRejectsARelationRegisteredTwice) {
+  // A duplicate would list the relation twice in registration order, and
+  // TakeSubjects would then hand back a moved-from G_DS.
+  Dblp d = SearchFixture::MakeDblp();
+  core::DataGraphBackend backend(d.db, d.links, d.data_graph);
+  std::vector<SearchContext::Subject> subjects;
+  subjects.push_back({d.author, DblpAuthorGds(d)});
+  subjects.push_back({d.paper, DblpPaperGds(d)});
+  subjects.push_back({d.author, DblpAuthorGds(d)});
+  EXPECT_THROW(SearchContext::Build(d.db, &backend, std::move(subjects)),
+               std::invalid_argument);
+}
+
+TEST(SearchContext, BuildRejectsAGdsRootedAtAnotherRelation) {
+  Dblp d = SearchFixture::MakeDblp();
+  core::DataGraphBackend backend(d.db, d.links, d.data_graph);
+  std::vector<SearchContext::Subject> subjects;
+  subjects.push_back({d.paper, DblpAuthorGds(d)});
+  EXPECT_THROW(SearchContext::Build(d.db, &backend, std::move(subjects)),
+               std::invalid_argument);
 }
 
 TEST(SearchContext, TakeSubjectsFeedsAFreshBuild) {
@@ -232,7 +260,7 @@ TEST(CanonicalQueryKey, NormalizesKeywordSetAndSeparatesOptions) {
   b.use_prelim = !a.use_prelim;
   EXPECT_NE(CanonicalQueryKey("x", a), CanonicalQueryKey("x", b));
   b = a;
-  b.ranking = ResultRanking::kSummaryImportance;
+  b.ranking = api::ResultRanking::kSummaryImportance;
   EXPECT_NE(CanonicalQueryKey("x", a), CanonicalQueryKey("x", b));
 }
 
@@ -244,7 +272,7 @@ TEST(Engine, AlgorithmsAllProduceValidResults) {
     QueryOptions options;
     options.l = 10;
     options.algorithm = algo;
-    auto results = f.engine.Query("Faloutsos", options);
+    auto results = f.Run("Faloutsos", options);
     ASSERT_EQ(results.size(), 3u) << core::AlgorithmName(algo);
     for (const QueryResult& r : results) {
       EXPECT_TRUE(core::IsValidSelection(r.os, r.selection, options.l))

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -19,7 +20,7 @@
 #include "core/os_backend.h"
 #include "db_fixtures.h"
 #include "api/codec.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "serve/clock.h"
 #include "serve/query_service.h"
 
@@ -46,6 +47,53 @@ ServiceOptions SmallService() {
   o.cache.num_shards = 2;
   return o;
 }
+
+/// One request per keyword string, all with `options`.
+std::vector<api::QueryRequest> Requests(const std::vector<std::string>& queries,
+                                        const api::QueryOptions& options) {
+  std::vector<api::QueryRequest> requests;
+  requests.reserve(queries.size());
+  for (const std::string& q : queries) requests.emplace_back(q, options);
+  return requests;
+}
+
+/// Collects SubmitBatch callbacks and blocks until all have fired.
+class BatchCollector {
+ public:
+  explicit BatchCollector(size_t n) : answered_(n, 0), responses_(n) {}
+
+  std::function<void(size_t, api::QueryResponse)> Sink() {
+    return [this](size_t i, api::QueryResponse response) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++answered_[i];
+      responses_[i] = std::move(response);
+      cv_.notify_all();
+    };
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ASSERT_TRUE(cv_.wait_for(lock, std::chrono::seconds(30), [&] {
+      for (int count : answered_) {
+        if (count == 0) return false;
+      }
+      return true;
+    }));
+  }
+  const api::QueryResponse& response(size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return responses_[i];
+  }
+  int answered(size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return answered_[i];
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<int> answered_;
+  std::vector<api::QueryResponse> responses_;
+};
 
 /// Delegating back end that can hold every join call on a gate (to keep a
 /// query deterministically in flight) or fail it (to make Query throw) —
@@ -142,27 +190,28 @@ class CountingBackend : public core::OsBackend {
 /// same immutable object, both byte-identical to an uncached Query.
 void ExpectHitMatchesRecompute(const search::SearchContext& ctx) {
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   options.max_results = 4;
 
   const std::string query = "faloutsos";
   std::string golden = DeterministicResultText(ctx.Query(query, options));
 
-  ResultPtr first = service.Query(query, options);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(DeterministicResultText(first->results), golden);
+  api::QueryResponse first = service.Execute(api::QueryRequest(query, options));
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  EXPECT_EQ(DeterministicResultText(first.result_list()), golden);
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 
-  ResultPtr second = service.Query(query, options);
+  api::QueryResponse second =
+      service.Execute(api::QueryRequest(query, options));
   // A hit is the same immutable object, not a recompute.
-  EXPECT_EQ(second.get(), first.get());
-  EXPECT_EQ(DeterministicResultText(second->results), golden);
+  EXPECT_EQ(second.results.get(), first.results.get());
+  EXPECT_EQ(DeterministicResultText(second.result_list()), golden);
   Metrics m = service.metrics();
   EXPECT_EQ(m.cache.misses, 1u);
   EXPECT_EQ(m.cache.hits, 1u);
   EXPECT_EQ(m.queries, 2u);
-  EXPECT_GT(first->approx_bytes, 0u);
+  EXPECT_GT(m.cache.approx_bytes, 0u);
 }
 
 TEST(QueryServiceEquivalence, HitMatchesRecomputeDataGraphBackend) {
@@ -182,15 +231,18 @@ TEST(QueryServiceEquivalence, KeywordNormalizationSharesOneEntry) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  ResultPtr a = service.Query("Christos  Faloutsos");
-  ResultPtr b = service.Query("faloutsos christos");
-  EXPECT_EQ(a.get(), b.get());
+  api::QueryResponse a =
+      service.Execute(api::QueryRequest("Christos  Faloutsos"));
+  api::QueryResponse b =
+      service.Execute(api::QueryRequest("faloutsos christos"));
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a.results.get(), b.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 1u);
   // Different options are different entries.
-  search::QueryOptions other;
-  other.l = 7;
-  ResultPtr c = service.Query("christos faloutsos", other);
-  EXPECT_NE(c.get(), a.get());
+  api::QueryResponse c =
+      service.Execute(api::QueryRequest("christos faloutsos").WithL(7));
+  ASSERT_TRUE(c.ok());
+  EXPECT_NE(c.results.get(), a.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 2u);
 }
 
@@ -198,22 +250,24 @@ TEST(QueryServiceAsync, FutureAndCallbackAgreeWithSync) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   std::string golden = DeterministicResultText(ctx.Query("databases", options));
 
-  std::future<ResultPtr> fut = service.SubmitAsync("databases", options);
-  ResultPtr from_future = fut.get();
-  ASSERT_NE(from_future, nullptr);
-  EXPECT_EQ(DeterministicResultText(from_future->results), golden);
+  std::future<api::QueryResponse> fut =
+      service.SubmitAsync(api::QueryRequest("databases", options));
+  api::QueryResponse from_future = fut.get();
+  ASSERT_TRUE(from_future.ok()) << from_future.status.ToString();
+  EXPECT_EQ(DeterministicResultText(from_future.result_list()), golden);
 
-  std::promise<ResultPtr> delivered;
-  service.Submit("databases", options,
-                 [&](ResultPtr r) { delivered.set_value(std::move(r)); });
-  ResultPtr from_callback = delivered.get_future().get();
-  ASSERT_NE(from_callback, nullptr);
-  EXPECT_EQ(DeterministicResultText(from_callback->results), golden);
+  BatchCollector delivered(1);
+  service.SubmitBatch({api::QueryRequest("databases", options)},
+                      delivered.Sink());
+  delivered.Wait();
+  const api::QueryResponse& from_callback = delivered.response(0);
+  ASSERT_TRUE(from_callback.ok()) << from_callback.status.ToString();
+  EXPECT_EQ(DeterministicResultText(from_callback.result_list()), golden);
   // The async paths share the cache: one compute total.
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 }
@@ -222,7 +276,7 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 9;
   options.max_results = 3;
 
@@ -230,11 +284,12 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
   std::vector<std::string> queries = {"faloutsos", "databases", "mining",
                                       "faloutsos", "power law",
                                       "nosuchkeywordanywhere", "databases"};
-  std::vector<ResultPtr> batch = service.QueryBatch(queries, options);
+  std::vector<api::QueryResponse> batch =
+      service.ExecuteBatch(Requests(queries, options));
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_NE(batch[i], nullptr) << queries[i];
-    EXPECT_EQ(DeterministicResultText(batch[i]->results),
+    ASSERT_TRUE(batch[i].ok()) << queries[i];
+    EXPECT_EQ(DeterministicResultText(batch[i].result_list()),
               DeterministicResultText(ctx.Query(queries[i], options)))
         << queries[i];
   }
@@ -242,9 +297,10 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
   EXPECT_EQ(after_first.cache.misses, 5u);  // distinct queries only
 
   // Re-running the batch is pure hits — no new computes.
-  std::vector<ResultPtr> again = service.QueryBatch(queries, options);
+  std::vector<api::QueryResponse> again =
+      service.ExecuteBatch(Requests(queries, options));
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(again[i].get(), batch[i].get()) << queries[i];
+    EXPECT_EQ(again[i].results.get(), batch[i].results.get()) << queries[i];
   }
   EXPECT_EQ(service.metrics().cache.misses, 5u);
 }
@@ -252,35 +308,36 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
 TEST(QueryServiceEpoch, RebindAfterRebuildNeverServesStaleResults) {
   ScoredDblp f(SmallDblpConfig());
 
-  // Engine #1 registers only Author; its context misses paper subjects.
-  search::SizeLSearchEngine engine1(f.d.db, &f.backend);
-  engine1.RegisterSubject(f.d.author, datasets::DblpAuthorGds(f.d));
-  engine1.BuildIndex();
+  // Context #1 registers only Author; it misses paper subjects.
+  std::vector<search::SearchContext::Subject> authors;
+  authors.push_back({f.d.author, datasets::DblpAuthorGds(f.d)});
+  search::SearchContext ctx1 =
+      search::SearchContext::Build(f.d.db, &f.backend, std::move(authors));
 
-  QueryService service(engine1.context(), SmallService());
-  search::QueryOptions options;
+  QueryService service(ctx1, SmallService());
+  api::QueryOptions options;
   options.l = 8;
   options.max_results = 6;
 
-  ResultPtr stale = service.Query("databases", options);
-  std::string stale_bytes = DeterministicResultText(stale->results);
+  api::QueryResponse stale =
+      service.Execute(api::QueryRequest("databases", options));
+  ASSERT_TRUE(stale.ok());
+  std::string stale_bytes = DeterministicResultText(stale.result_list());
 
-  // The context is rebuilt richer (Author + Paper) in a fresh engine —
-  // the old engine would throw on re-registration (see search_test).
-  search::SizeLSearchEngine engine2(f.d.db, &f.backend);
-  engine2.RegisterSubject(f.d.author, datasets::DblpAuthorGds(f.d));
-  engine2.RegisterSubject(f.d.paper, datasets::DblpPaperGds(f.d));
-  engine2.BuildIndex();
+  // The context is rebuilt richer (Author + Paper).
+  search::SearchContext ctx2 = BuildDblpContext(f.d, &f.backend);
 
-  service.RebindContext(engine2.context());
-  EXPECT_EQ(&service.context(), &engine2.context());
+  service.RebindContext(ctx2);
+  EXPECT_EQ(&service.context(), &ctx2);
   EXPECT_EQ(service.metrics().cache.epoch, 1u);
   EXPECT_EQ(service.metrics().cache.entries, 0u);
 
-  ResultPtr fresh = service.Query("databases", options);
-  std::string fresh_bytes = DeterministicResultText(fresh->results);
-  EXPECT_EQ(fresh_bytes, DeterministicResultText(
-                             engine2.context().Query("databases", options)));
+  api::QueryResponse fresh =
+      service.Execute(api::QueryRequest("databases", options));
+  ASSERT_TRUE(fresh.ok());
+  std::string fresh_bytes = DeterministicResultText(fresh.result_list());
+  EXPECT_EQ(fresh_bytes,
+            DeterministicResultText(ctx2.Query("databases", options)));
   // The richer context genuinely changes the answer, so serving the old
   // entry would have been observable — and did not happen.
   EXPECT_NE(fresh_bytes, stale_bytes);
@@ -297,11 +354,11 @@ TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
   search::SearchContext new_ctx = BuildDblpContext(f.d, &f.backend);
 
   QueryService service(old_ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm the bound context's memo through the service.
-  service.Query("databases", options);
+  ASSERT_TRUE(service.Execute(api::QueryRequest("databases", options)).ok());
   Metrics before = service.metrics();
   EXPECT_GT(before.partials.inserts, 0u);
   EXPECT_GT(before.partials.entries, 0u);
@@ -322,9 +379,10 @@ TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
   EXPECT_EQ(after.partials.epoch, 1u);
 
   // Post-rebind queries recompute from scratch with unchanged answers.
-  ResultPtr fresh = service.Query("databases", options);
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(DeterministicResultText(fresh->results),
+  api::QueryResponse fresh =
+      service.Execute(api::QueryRequest("databases", options));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(DeterministicResultText(fresh.result_list()),
             DeterministicResultText(new_ctx.Query("databases", options)));
   EXPECT_GT(service.metrics().partials.misses, after.partials.misses);
 }
@@ -341,16 +399,16 @@ TEST(QueryServiceEpoch, PartialsOptionConfiguresEveryBoundContext) {
   off.enabled = false;
   o.partials = off;
   QueryService service(ctx1, o);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
-  service.Query("databases", options);
+  ASSERT_TRUE(service.Execute(api::QueryRequest("databases", options)).ok());
   EXPECT_EQ(service.metrics().partials.inserts, 0u);
   EXPECT_FALSE(ctx1.partials_memo().enabled());
 
   service.RebindContext(ctx2);
   EXPECT_FALSE(ctx2.partials_memo().enabled());
-  service.Query("databases", options);
+  ASSERT_TRUE(service.Execute(api::QueryRequest("databases", options)).ok());
   EXPECT_EQ(service.metrics().partials.inserts, 0u);
 }
 
@@ -365,11 +423,12 @@ TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
   search::SearchContext new_ctx = BuildDblpContext(f.d, &f.backend);
 
   QueryService service(*old_ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   gated.CloseGate();
-  std::future<ResultPtr> inflight = service.SubmitAsync("databases", options);
+  std::future<api::QueryResponse> inflight =
+      service.SubmitAsync(api::QueryRequest("databases", options));
   gated.WaitUntilBlocked();  // the miss has pinned old_ctx and is computing
 
   std::atomic<bool> rebound{false};
@@ -387,66 +446,77 @@ TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
   // The query drained before RebindContext returned, so its future is
   // already satisfied and destroying the old context now is safe (the
   // sanitizer lanes would flag a use-after-free here otherwise).
-  ResultPtr r = inflight.get();
-  ASSERT_NE(r, nullptr);
+  ASSERT_TRUE(inflight.get().ok());
   old_ctx.reset();
 
   EXPECT_EQ(&service.context(), &new_ctx);
-  ResultPtr fresh = service.Query("databases", options);
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(DeterministicResultText(fresh->results),
+  api::QueryResponse fresh =
+      service.Execute(api::QueryRequest("databases", options));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(DeterministicResultText(fresh.result_list()),
             DeterministicResultText(new_ctx.Query("databases", options)));
 }
 
-// A throwing miss inside the batch fan-out must surface on the calling
-// thread (ParallelFor tasks themselves must not throw — an escaped
-// exception would terminate the process), and must not poison the service.
-TEST(QueryServiceBatch, MissExceptionRethrownOnCallingThread) {
+// A throwing miss inside the batch fan-out comes back as that request's
+// kBackendError (pool tasks themselves must not throw — an escaped
+// exception would terminate the process): the rest of the batch is still
+// answered, and the failure neither poisons the service nor is cached.
+TEST(QueryServiceBatch, FailingMissIsABackendErrorAndTheBatchCompletes) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm one key so the failing batch mixes cache hits with bad misses.
-  ResultPtr warm = service.Query("faloutsos", options);
-  ASSERT_NE(warm, nullptr);
+  api::QueryResponse warm =
+      service.Execute(api::QueryRequest("faloutsos", options));
+  ASSERT_TRUE(warm.ok());
 
+  // "nosuchkeywordanywhere" has no hits, so its miss never joins and
+  // completes while the joining misses fail.
   gated.FailJoins(true);
-  std::vector<std::string> queries = {"faloutsos", "databases", "mining"};
-  EXPECT_THROW(service.QueryBatch(queries, options), std::runtime_error);
-
-  // Submit's contrasting convention: no future to carry the exception, so
-  // the callback receives nullptr instead.
-  std::promise<ResultPtr> delivered;
-  service.Submit("power law", options,
-                 [&](ResultPtr r) { delivered.set_value(std::move(r)); });
-  EXPECT_EQ(delivered.get_future().get(), nullptr);
+  const std::vector<std::string> queries = {"faloutsos", "databases",
+                                            "nosuchkeywordanywhere", "mining"};
+  std::vector<api::QueryResponse> failed =
+      service.ExecuteBatch(Requests(queries, options));
+  ASSERT_EQ(failed.size(), queries.size());
+  ASSERT_TRUE(failed[0].ok());
+  EXPECT_EQ(failed[0].results.get(), warm.results.get());
+  for (size_t i : {1u, 3u}) {
+    EXPECT_EQ(failed[i].status.code(), api::StatusCode::kBackendError)
+        << queries[i];
+    EXPECT_TRUE(failed[i].result_list().empty()) << queries[i];
+  }
+  ASSERT_TRUE(failed[2].ok());
+  EXPECT_TRUE(failed[2].result_list().empty());
 
   // Failures cached nothing: once joins heal, the same batch succeeds and
   // still reuses the pre-failure entry.
   gated.FailJoins(false);
-  std::vector<ResultPtr> batch = service.QueryBatch(queries, options);
+  std::vector<api::QueryResponse> batch =
+      service.ExecuteBatch(Requests(queries, options));
   ASSERT_EQ(batch.size(), queries.size());
-  EXPECT_EQ(batch[0].get(), warm.get());
+  EXPECT_EQ(batch[0].results.get(), warm.results.get());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_NE(batch[i], nullptr) << queries[i];
-    EXPECT_EQ(DeterministicResultText(batch[i]->results),
+    ASSERT_TRUE(batch[i].ok()) << queries[i];
+    EXPECT_EQ(DeterministicResultText(batch[i].result_list()),
               DeterministicResultText(ctx.Query(queries[i], options)))
         << queries[i];
   }
 }
 
 // The request/response surface: Execute must agree byte-for-byte with the
-// legacy paths, share their cache, and report the cache outcome in stats.
+// uncached SearchContext::Query, share one cache with the async path, and
+// report the cache outcome in stats.
 TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
   api::QueryRequest request =
       api::QueryRequest("faloutsos").WithL(10).WithMaxResults(4);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   options.max_results = 4;
   std::string golden = DeterministicResultText(ctx.Query("faloutsos", options));
@@ -464,10 +534,10 @@ TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   // A hit shares the same immutable list, zero-copy.
   EXPECT_EQ(second.results.get(), first.results.get());
 
-  // The typed and legacy paths ride one cache: the legacy pointer wraps
-  // the very list the response aliases.
-  ResultPtr legacy = service.Query("faloutsos", options);
-  EXPECT_EQ(&legacy->results, second.results.get());
+  // The sync and async paths ride one cache: the future resolves to the
+  // very list the first response aliases.
+  api::QueryResponse async = service.SubmitAsync(request).get();
+  EXPECT_EQ(async.results.get(), first.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 }
 
@@ -485,7 +555,7 @@ TEST(QueryServiceApi, ExecuteMatchesRecomputeOnTpchDatabaseBackend) {
   api::QueryResponse response =
       service.Execute(api::QueryRequest(keywords).WithL(10));
   ASSERT_TRUE(response.ok());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   EXPECT_EQ(DeterministicResultText(response.result_list()),
             DeterministicResultText(ctx.Query(keywords, options)));
@@ -521,56 +591,52 @@ TEST(QueryServiceApi, InvalidAndFailingRequestsBecomeStatuses) {
   EXPECT_TRUE(none.result_list().empty());
 }
 
-// The async-batch acceptance contract: SubmitBatchAsync returns while its
-// misses are still computing — the submitting thread never blocks.
-TEST(QueryServiceApi, SubmitBatchAsyncNeverBlocksTheSubmitter) {
+// The batch acceptance contract: SubmitBatch returns while its misses are
+// still computing — the submitting thread never blocks. The hit and the
+// invalid request are answered before the call returns; the gated miss is
+// not.
+TEST(QueryServiceApi, SubmitBatchNeverBlocksTheSubmitter) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm one key so the batch mixes a ready hit with gated misses.
-  ResultPtr warm = service.Query("faloutsos", options);
-  ASSERT_NE(warm, nullptr);
+  api::QueryResponse warm =
+      service.Execute(api::QueryRequest("faloutsos", options));
+  ASSERT_TRUE(warm.ok());
 
   gated.CloseGate();
-  std::vector<api::QueryRequest> requests;
-  for (const char* q : {"faloutsos", "databases", "", "mining"}) {
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
-  }
-  std::vector<std::future<api::QueryResponse>> futures =
-      service.SubmitBatchAsync(std::move(requests));
+  BatchCollector collector(4);
+  service.SubmitBatch(
+      Requests({"faloutsos", "databases", "", "mining"}, options),
+      collector.Sink());
   // Submission returned while every miss is parked on the closed gate.
-  ASSERT_EQ(futures.size(), 4u);
   gated.WaitUntilBlocked();
-  // The hit and the invalid request resolved at submission time; the
-  // gated miss cannot be ready.
-  EXPECT_EQ(futures[0].wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(futures[2].wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_NE(futures[1].wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
+  EXPECT_EQ(collector.answered(0), 1);
+  EXPECT_EQ(collector.answered(2), 1);
+  EXPECT_EQ(collector.answered(1), 0);
 
   gated.OpenGate();
-  api::QueryResponse hit = futures[0].get();
+  collector.Wait();
+  const api::QueryResponse& hit = collector.response(0);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit.stats.cache_hit);
-  EXPECT_EQ(hit.results.get(), &warm->results);  // zero-copy alias
-  EXPECT_EQ(futures[2].get().status.code(),
+  EXPECT_EQ(hit.results.get(), warm.results.get());  // zero-copy alias
+  EXPECT_EQ(collector.response(2).status.code(),
             api::StatusCode::kInvalidArgument);
-  api::QueryResponse miss = futures[1].get();
+  const api::QueryResponse& miss = collector.response(1);
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss.stats.cache_hit);
   EXPECT_EQ(DeterministicResultText(miss.result_list()),
             DeterministicResultText(ctx.Query("databases", options)));
-  ASSERT_TRUE(futures[3].get().ok());
+  ASSERT_TRUE(collector.response(3).ok());
 }
 
-// Destruction-order regression: futures from SubmitBatchAsync may outlive
-// the QueryService. The destructor must block until in-flight misses
+// Destruction-order regression: futures from SubmitAsync may outlive the
+// QueryService. The destructor must block until in-flight misses
 // finish (pool_ is the last member, so it drains while cache/context are
 // still alive), and the futures stay valid afterwards — their shared state
 // is heap-owned, not service-owned. ASan/TSan turn any violation into a
@@ -580,16 +646,14 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
   auto service = std::make_unique<QueryService>(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   gated.CloseGate();
-  std::vector<api::QueryRequest> requests;
+  std::vector<std::future<api::QueryResponse>> futures;
   for (const char* q : {"databases", "mining"}) {
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
+    futures.push_back(service->SubmitAsync(api::QueryRequest(q, options)));
   }
-  std::vector<std::future<api::QueryResponse>> futures =
-      service->SubmitBatchAsync(std::move(requests));
   gated.WaitUntilBlocked();
 
   // Tear the service down while both misses are parked on the gate.
@@ -615,18 +679,18 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   }
 }
 
-// The callback twin of SubmitBatchAsync (the TCP front end's entry point):
-// every request is answered exactly once, hits and invalids inline,
-// misses on the pool.
+// SubmitBatch (the TCP front end's entry point): every request is answered
+// exactly once, hits and invalids inline, misses on the pool.
 TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
-  ResultPtr warm = service.Query("faloutsos", options);
-  ASSERT_NE(warm, nullptr);
+  api::QueryResponse warm =
+      service.Execute(api::QueryRequest("faloutsos", options));
+  ASSERT_TRUE(warm.ok());
 
   std::vector<api::QueryRequest> requests;
   for (const char* q : {"faloutsos", "databases", "", "databases"}) {
@@ -657,7 +721,7 @@ TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   }
   EXPECT_TRUE(responses[0].ok());
   EXPECT_TRUE(responses[0].stats.cache_hit);
-  EXPECT_EQ(responses[0].results.get(), &warm->results);
+  EXPECT_EQ(responses[0].results.get(), warm.results.get());
   EXPECT_TRUE(responses[1].ok());
   EXPECT_EQ(responses[2].status.code(), api::StatusCode::kInvalidArgument);
   EXPECT_TRUE(responses[3].ok());
@@ -666,13 +730,13 @@ TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   EXPECT_EQ(service.metrics().cache.misses, 2u);  // warm + "databases"
 }
 
-// ExecuteBatch (the blocking layer over SubmitBatchAsync) must stay
+// ExecuteBatch (the blocking layer over SubmitBatch) must stay
 // byte-identical to serial execution and cache-aware across runs.
 TEST(QueryServiceApi, ExecuteBatchMatchesSerialAndStaysCacheAware) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 9;
   options.max_results = 3;
 
@@ -719,7 +783,9 @@ TEST(QueryServiceMetrics, LatencyReservoirsPopulate) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  for (int i = 0; i < 3; ++i) service.Query("faloutsos");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(service.Execute(api::QueryRequest("faloutsos")).ok());
+  }
   Metrics m = service.metrics();
   EXPECT_EQ(m.queries, 3u);
   EXPECT_EQ(m.latency_us.count(), 3u);
@@ -784,7 +850,7 @@ TEST(QueryServicePolicy, ExpiryRecomputesOnceAndRebindBeatsTtl) {
   so.partials = no_partials;
   QueryService service(ctx, so);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   api::QueryRequest pos = api::QueryRequest("databases").WithOptions(options);
   api::QueryRequest neg =
@@ -865,44 +931,6 @@ TEST(QueryServicePolicy, SweepExpiredCacheDropsOnlyExpiredEntries) {
   EXPECT_EQ(service.metrics().cache.entries, 0u);
 }
 
-/// Collects SubmitBatch callbacks and blocks until all have fired.
-class BatchCollector {
- public:
-  explicit BatchCollector(size_t n) : answered_(n, 0), responses_(n) {}
-
-  std::function<void(size_t, api::QueryResponse)> Sink() {
-    return [this](size_t i, api::QueryResponse response) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++answered_[i];
-      responses_[i] = std::move(response);
-      cv_.notify_all();
-    };
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    ASSERT_TRUE(cv_.wait_for(lock, std::chrono::seconds(30), [&] {
-      for (int count : answered_) {
-        if (count == 0) return false;
-      }
-      return true;
-    }));
-  }
-  const api::QueryResponse& response(size_t i) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return responses_[i];
-  }
-  int answered(size_t i) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return answered_[i];
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<int> answered_;
-  std::vector<api::QueryResponse> responses_;
-};
-
 // A request whose budget is already spent on arrival is answered
 // kDeadlineExceeded before the service spends anything on it — no cache
 // lookup, no backend I/O — even when a cached answer exists. ("No time is
@@ -915,12 +943,11 @@ TEST(QueryServiceOverload, ExpiredAtAdmissionShedsWithoutBackendWork) {
   ServiceOptions so = SmallService();
   so.cache.clock = clock;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm the key so "shed beats a ready cache hit" is what gets proven.
-  ResultPtr warm = service.Query("databases", options);
-  ASSERT_NE(warm, nullptr);
+  ASSERT_TRUE(service.Execute(api::QueryRequest("databases", options)).ok());
   uint64_t fetches_after_warm = counting.fetches();
   uint64_t hits_after_warm = service.metrics().cache.hits;
 
@@ -958,7 +985,7 @@ TEST(QueryServiceOverload, WatermarkShedsLowestBudgetFirst) {
   so.cache.clock = clock;
   so.overload.max_pending_misses = 2;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   const uint64_t now = clock->NowMicros();
 
@@ -1018,7 +1045,7 @@ TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
   so.cache.clock = clock;
   so.overload.max_pending_misses = 1;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   auto submit_one = [&](const char* q, uint64_t deadline,
@@ -1064,7 +1091,7 @@ TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   so.cache.num_shards = 2;
   so.cache.clock = clock;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   gated.CloseGate();
@@ -1174,7 +1201,7 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   so.cache.max_entries = 16;  // small: force concurrent eviction too
   QueryService service(ctx, so);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   options.max_results = 3;
   std::vector<std::string> mix = {"faloutsos",  "databases", "mining",
@@ -1187,11 +1214,6 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   }
 
   std::atomic<int> mismatches{0};
-  auto check = [&](size_t qi, const ResultPtr& r) {
-    if (r == nullptr || DeterministicResultText(r->results) != golden[qi]) {
-      mismatches.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
   auto check_response = [&](size_t qi, const api::QueryResponse& r) {
     if (!r.ok() || DeterministicResultText(r.result_list()) != golden[qi]) {
       mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -1206,23 +1228,20 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
     drivers.emplace_back([&, w] {
       for (int round = 0; round < kRounds; ++round) {
         size_t qi = (round + w) % mix.size();
-        check(qi, service.Query(mix[qi], options));
-        auto fut = service.SubmitAsync(mix[(qi + 1) % mix.size()], options);
-        check((qi + 1) % mix.size(), fut.get());
-        // The typed surface shares the same cache and pool: one Execute
-        // and a two-request async batch per round.
-        size_t ei = (qi + 2) % mix.size();
+        check_response(qi,
+                       service.Execute(api::QueryRequest(mix[qi], options)));
+        size_t ai = (qi + 1) % mix.size();
         check_response(
-            ei, service.Execute(api::QueryRequest(mix[ei]).WithOptions(
-                    options)));
-        std::vector<api::QueryRequest> batch;
-        batch.push_back(api::QueryRequest(mix[qi]).WithOptions(options));
-        batch.push_back(
-            api::QueryRequest(mix[(qi + 3) % mix.size()]).WithOptions(
-                options));
-        auto futures = service.SubmitBatchAsync(std::move(batch));
-        check_response(qi, futures[0].get());
-        check_response((qi + 3) % mix.size(), futures[1].get());
+            ai, service.SubmitAsync(api::QueryRequest(mix[ai], options)).get());
+        size_t ei = (qi + 2) % mix.size();
+        check_response(ei,
+                       service.Execute(api::QueryRequest(mix[ei], options)));
+        // A two-request batch per round rides the same cache and pool.
+        size_t bi = (qi + 3) % mix.size();
+        std::vector<api::QueryResponse> batch =
+            service.ExecuteBatch(Requests({mix[qi], mix[bi]}, options));
+        check_response(qi, batch[0]);
+        check_response(bi, batch[1]);
         if (w == 0 && round == kRounds / 2) service.ClearCache();
       }
     });
@@ -1230,8 +1249,8 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   for (std::thread& t : drivers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   Metrics m = service.metrics();
-  // 5 recorded queries per round: legacy sync + legacy async + Execute +
-  // the 2-request async batch.
+  // 5 recorded queries per round: two Executes, one SubmitAsync and the
+  // 2-request batch.
   EXPECT_EQ(m.queries,
             static_cast<uint64_t>(kDrivers) * kRounds * 5);
   EXPECT_EQ(m.cache.hits + m.cache.misses + m.cache.coalesced_waits,

@@ -2,14 +2,20 @@
 // combination on a shared DBLP instance must produce valid, optimal-bounded
 // size-l OSs through the public search API. Guards the whole pipeline
 // against configuration-dependent regressions.
+#include <array>
 #include <cctype>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/os_backend.h"
 #include "datasets/dblp.h"
 #include "datasets/settings.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 
 namespace osum {
 namespace {
@@ -27,7 +33,7 @@ class PipelineSweepTest : public ::testing::TestWithParam<SweepCase> {
   struct Instance {
     datasets::Dblp d;
     std::unique_ptr<core::DataGraphBackend> backend;
-    std::unique_ptr<search::SizeLSearchEngine> engine;
+    std::optional<search::SearchContext> ctx;
   };
 
   static Instance* GetInstance(int setting_index) {
@@ -45,13 +51,11 @@ class PipelineSweepTest : public ::testing::TestWithParam<SweepCase> {
       datasets::ApplyDblpScores(&slot->d, s.ga, s.damping);
       slot->backend = std::make_unique<core::DataGraphBackend>(
           slot->d.db, slot->d.links, slot->d.data_graph);
-      slot->engine = std::make_unique<search::SizeLSearchEngine>(
-          slot->d.db, slot->backend.get());
-      slot->engine->RegisterSubject(slot->d.author,
-                                    datasets::DblpAuthorGds(slot->d));
-      slot->engine->RegisterSubject(slot->d.paper,
-                                    datasets::DblpPaperGds(slot->d));
-      slot->engine->BuildIndex();
+      std::vector<search::SearchContext::Subject> subjects;
+      subjects.push_back({slot->d.author, datasets::DblpAuthorGds(slot->d)});
+      subjects.push_back({slot->d.paper, datasets::DblpPaperGds(slot->d)});
+      slot->ctx.emplace(search::SearchContext::Build(
+          slot->d.db, slot->backend.get(), std::move(subjects)));
     }
     return slot.get();
   }
@@ -61,10 +65,13 @@ TEST_P(PipelineSweepTest, QueryYieldsValidNearOptimalSelections) {
   const SweepCase c = GetParam();
   Instance* inst = GetInstance(c.setting_index);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = c.l;
   options.algorithm = c.algorithm;
-  auto results = inst->engine->Query("faloutsos", options);
+  api::QueryResponse response =
+      inst->ctx->Execute(api::QueryRequest("faloutsos", options));
+  ASSERT_TRUE(response.ok()) << response.status.ToString();
+  const api::ResultList& results = response.result_list();
   ASSERT_EQ(results.size(), 3u);
   for (const auto& r : results) {
     ASSERT_TRUE(core::IsValidSelection(r.os, r.selection, c.l));
