@@ -58,6 +58,12 @@ size_t OsTree::CountLeaves() const {
   return leaves;
 }
 
+size_t OsTree::ApproxHeapBytes() const {
+  size_t bytes = nodes_.size() * sizeof(OsNode);
+  for (const OsNode& n : nodes_) bytes += n.children.size() * sizeof(OsNodeId);
+  return bytes;
+}
+
 bool OsTree::IsMonotone() const {
   for (const OsNode& n : nodes_) {
     if (n.parent == kNoOsNode) continue;

@@ -71,6 +71,11 @@ class OsTree {
   /// Number of leaf nodes.
   size_t CountLeaves() const;
 
+  /// Approximate heap footprint (node array plus children lists): what
+  /// the result cache and the partials memo charge against their byte
+  /// budgets for this tree.
+  size_t ApproxHeapBytes() const;
+
   /// True when every node's local importance is <= its parent's — the
   /// monotonicity precondition of Lemma 2 / Lemma 3.
   bool IsMonotone() const;

@@ -13,6 +13,9 @@
 // tree a fresh generation would have produced, so memo-on and memo-off
 // results are byte-identical (pinned through DeterministicResultText).
 //
+// Recency, the entry and byte budgets and eviction are util::BoundedLru
+// (util/bounded_lru.h); this class adds the epoch and the counters.
+//
 // Epochs mirror the result cache's invalidation discipline: the serving
 // layer bumps the epoch on RebindContext, which atomically clears the memo
 // and causes in-flight inserts (computed against the old binding) to be
@@ -23,13 +26,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 
 #include "core/os_tree.h"
+#include "util/bounded_lru.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -39,18 +40,14 @@ namespace osum::core {
 /// Immutable once published; size-l runs on a copy per request.
 struct PartialSynopsis {
   OsTree os;
-  /// Set by the publisher (see ApproxPartialBytes); charged against the
-  /// memo's byte budget.
+  /// Set by the publisher (sizeof plus OsTree::ApproxHeapBytes); charged
+  /// against the memo's byte budget.
   size_t approx_bytes = 0;
 };
 
 using PartialPtr = std::shared_ptr<const PartialSynopsis>;
 
-/// Rough heap footprint of a memoized tree, for the byte budget.
-size_t ApproxPartialBytes(const PartialSynopsis& p);
-
-/// Sizing knob (serve::ServiceOptions forwards this to the bound
-/// context's memo).
+/// Sizing knob, applied to a context's memo through Configure.
 struct PartialsMemoOptions {
   /// Master switch: disabled means Lookup always misses (uncounted) and
   /// Insert is a no-op — the query path behaves exactly as if the memo
@@ -109,29 +106,14 @@ class PartialsMemo {
   PartialsMemoMetrics metrics() const;
 
  private:
-  struct Entry {
-    std::string key;
-    PartialPtr value;
-    size_t bytes = 0;
-  };
-  using LruList = std::list<Entry>;
-
-  void EvictOverBudget() REQUIRES(mu_);
-
   mutable util::Mutex mu_;
-  PartialsMemoOptions options_ GUARDED_BY(mu_);
-  /// Front = most recently used.
-  LruList lru_ GUARDED_BY(mu_);
-  /// Keys view into lru_ (string_view borrows the entry's own key).
-  std::unordered_map<std::string_view, LruList::iterator> index_
-      GUARDED_BY(mu_);
+  bool enabled_ GUARDED_BY(mu_);
+  util::BoundedLru<PartialPtr> lru_ GUARDED_BY(mu_);
   uint64_t epoch_ GUARDED_BY(mu_) = 0;
-  size_t bytes_ GUARDED_BY(mu_) = 0;
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
   uint64_t inserts_ GUARDED_BY(mu_) = 0;
   uint64_t discarded_inserts_ GUARDED_BY(mu_) = 0;
-  uint64_t evictions_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace osum::core

@@ -144,7 +144,8 @@ std::vector<api::QueryResult> SearchContext::Query(
       if (use_memo) {
         auto partial = std::make_shared<core::PartialSynopsis>();
         partial->os = r.os;
-        partial->approx_bytes = core::ApproxPartialBytes(*partial);
+        partial->approx_bytes =
+            sizeof(core::PartialSynopsis) + r.os.ApproxHeapBytes();
         memo.Insert(memo_key, std::move(partial), memo_epoch);
       }
     }

@@ -56,11 +56,7 @@ QueryService::QueryService(const search::SearchContext& context,
       binding_(new Binding{&context, 0}),
       cache_(options.cache),
       pool_(options.num_threads == 0 ? util::ThreadPool::HardwareThreads()
-                                     : options.num_threads) {
-  if (options_.partials.has_value()) {
-    context.partials_memo().Configure(*options_.partials);
-  }
-}
+                                     : options.num_threads) {}
 
 bool QueryService::AdmitMiss(uint64_t deadline,
                              std::shared_ptr<MissTicket>* ticket_out) {
@@ -337,9 +333,6 @@ void QueryService::RebindContext(const search::SearchContext& context) {
   // with its data; the new context's memo may hold partials from a life
   // before an earlier rebind. In-flight queries pinned to the old binding
   // captured pre-bump memo epochs, so their inserts are discarded.
-  if (options_.partials.has_value()) {
-    context.partials_memo().Configure(*options_.partials);
-  }
   old->ctx->partials_memo().BumpEpoch();
   context.partials_memo().BumpEpoch();
   // Drain. No new pin can reach `old` (binding_ no longer points to it),

@@ -23,31 +23,28 @@ size_t ApproxResultBytes(const std::vector<api::QueryResult>& results) {
   size_t bytes = sizeof(CachedResult) +
                  results.capacity() * sizeof(api::QueryResult);
   for (const api::QueryResult& r : results) {
-    bytes += r.os.size() * sizeof(core::OsNode);
-    for (const core::OsNode& n : r.os.nodes()) {
-      bytes += n.children.size() * sizeof(core::OsNodeId);
-    }
-    bytes += r.selection.nodes.size() * sizeof(core::OsNodeId);
+    bytes += r.os.ApproxHeapBytes() +
+             r.selection.nodes.size() * sizeof(core::OsNodeId);
   }
   return bytes;
 }
 
 ResultCache::ResultCache(ResultCacheOptions options)
     : num_shards_(std::bit_ceil(std::max<size_t>(options.num_shards, 1))),
-      max_entries_per_shard_(PerShard(std::max<size_t>(options.max_entries, 1),
-                                      num_shards_)),
-      max_bytes_per_shard_(PerShard(std::max<size_t>(options.max_bytes, 1),
-                                    num_shards_)),
       policy_(options.policy),
-      max_tracked_per_shard_(
-          options.policy.admission_max_tracked != 0
-              ? options.policy.admission_max_tracked
-              : std::max<size_t>(8 * max_entries_per_shard_, 64)),
       clock_(options.clock != nullptr ? std::move(options.clock)
                                       : SystemClock::Instance()) {
+  const size_t max_entries =
+      PerShard(std::max<size_t>(options.max_entries, 1), num_shards_);
+  const size_t max_bytes =
+      PerShard(std::max<size_t>(options.max_bytes, 1), num_shards_);
+  const size_t max_tracked = policy_.admission_max_tracked != 0
+                                 ? policy_.admission_max_tracked
+                                 : std::max<size_t>(8 * max_entries, 64);
   shards_.reserve(num_shards_);
   for (size_t i = 0; i < num_shards_; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(
+        std::make_unique<Shard>(max_entries, max_bytes, max_tracked));
   }
 }
 
@@ -66,30 +63,29 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& internal_key) {
   return *shards_[h & (num_shards_ - 1)];
 }
 
-void ResultCache::EvictOverBudget(Shard* shard) {
-  while (shard->lru.size() > 1 &&
-         (shard->lru.size() > max_entries_per_shard_ ||
-          shard->bytes > max_bytes_per_shard_)) {
-    const Entry& victim = shard->lru.back();
-    shard->bytes -= victim.bytes;
-    shard->map.erase(std::string_view(victim.key));
-    shard->lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+ResultPtr ResultCache::FindLive(Shard* shard, const std::string& ikey) {
+  Lru::iterator it = shard->entries.Find(ikey);
+  if (it == shard->entries.end() || EraseIfExpired(shard, it)) return nullptr;
+  shard->entries.Touch(it);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (it->value.result->negative()) {
+    negative_hits_.fetch_add(1, std::memory_order_relaxed);
   }
+  return it->value.result;
 }
 
 bool ResultCache::EraseIfExpired(Shard* shard, Lru::iterator it) {
   // Deadline check before the clock read: in the default no-TTL
   // configuration every entry has deadline 0 and the hot hit path never
   // pays a steady_clock call under the shard lock.
-  if (it->deadline == 0) return false;
+  if (it->value.deadline == 0) return false;
   return EraseExpiredAt(shard, it, clock_->NowMicros());
 }
 
 bool ResultCache::EraseExpiredAt(Shard* shard, Lru::iterator it,
                                  uint64_t now) {
-  if (it->deadline == 0 || now < it->deadline) return false;
-  (it->value->negative() ? negative_ttl_expiries_ : ttl_expiries_)
+  if (it->value.deadline == 0 || now < it->value.deadline) return false;
+  (it->value.result->negative() ? negative_ttl_expiries_ : ttl_expiries_)
       .fetch_add(1, std::memory_order_relaxed);
   // An expired key already proved itself cache-worthy (it was admitted
   // once); leave a sighting so its first recompute re-admits immediately.
@@ -97,48 +93,25 @@ bool ResultCache::EraseExpiredAt(Shard* shard, Lru::iterator it,
   // hot key once per TTL period, doubling the expensive misses the cache
   // exists to amortize. (LRU evictions deliberately do NOT get this:
   // budget pressure means the key must re-earn its slot.)
-  if (policy_.admission_enabled) RecordSighting(shard, it->key, now);
-  shard->bytes -= it->bytes;
-  shard->map.erase(std::string_view(it->key));
-  shard->lru.erase(it);
+  if (policy_.admission_enabled) shard->sightings.Put(it->key, now, 0);
+  shard->entries.Erase(it);
   return true;
-}
-
-void ResultCache::RecordSighting(Shard* shard, const std::string& ikey,
-                                 uint64_t now) {
-  auto it = shard->sighting_map.find(std::string_view(ikey));
-  if (it != shard->sighting_map.end()) {
-    it->second->seen_micros = now;
-    shard->sightings.splice(shard->sightings.begin(), shard->sightings,
-                            it->second);
-    return;
-  }
-  shard->sightings.push_front(Sighting{ikey, now});
-  shard->sighting_map.emplace(std::string_view(shard->sightings.front().key),
-                              shard->sightings.begin());
-  if (shard->sightings.size() > max_tracked_per_shard_) {
-    shard->sighting_map.erase(std::string_view(shard->sightings.back().key));
-    shard->sightings.pop_back();
-  }
 }
 
 bool ResultCache::AdmitOrRecordSighting(Shard* shard, const std::string& ikey,
                                         uint64_t now) {
   if (!policy_.admission_enabled) return true;
-  auto it = shard->sighting_map.find(std::string_view(ikey));
-  if (it != shard->sighting_map.end() &&
+  auto it = shard->sightings.Find(ikey);
+  if (it != shard->sightings.end() &&
       (policy_.admission_window_micros == 0 ||  // 0 = sightings never age
-       now < it->second->seen_micros + policy_.admission_window_micros)) {
+       now < it->value + policy_.admission_window_micros)) {
     // Second sighting within the window: admit, consuming the record.
-    // (Map entry first: its string_view key aliases the list node.)
-    SightingList::iterator sighting = it->second;
-    shard->sighting_map.erase(it);
-    shard->sightings.erase(sighting);
+    shard->sightings.Erase(it);
     return true;
   }
   // First sighting, or one that aged out of the window: record/refresh
   // and reject.
-  RecordSighting(shard, ikey, now);
+  shard->sightings.Put(ikey, now, 0);
   return false;
 }
 
@@ -153,15 +126,7 @@ ResultPtr ResultCache::Lookup(const std::string& key) {
   std::string ikey = InternalKey(epoch(), key);
   Shard& shard = ShardFor(ikey);
   util::MutexLock lock(shard.mu);
-  auto it = shard.map.find(std::string_view(ikey));
-  if (it == shard.map.end()) return nullptr;
-  if (EraseIfExpired(&shard, it->second)) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  if (it->second->value->negative()) {
-    negative_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return it->second->value;
+  return FindLive(&shard, ikey);
 }
 
 ResultPtr ResultCache::GetOrCompute(
@@ -177,16 +142,7 @@ ResultPtr ResultCache::GetOrCompute(
   std::optional<std::shared_future<ResultPtr>> wait_on;
   {
     util::MutexLock lock(shard.mu);
-    auto it = shard.map.find(std::string_view(ikey));
-    if (it != shard.map.end() &&
-        !EraseIfExpired(&shard, it->second)) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (it->second->value->negative()) {
-        negative_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return it->second->value;
-    }
+    if (ResultPtr hit = FindLive(&shard, ikey)) return hit;
     // Either never cached or just lazily expired — both are misses, and
     // both coalesce onto whoever computes the key first.
     auto inflight = shard.inflight.find(ikey);
@@ -226,21 +182,15 @@ ResultPtr ResultCache::GetOrCompute(
     // to keep watertight), and the admission policy accepts the key (a
     // first-sighted key is recorded, returned, and not cached).
     if (epoch_.load(std::memory_order_acquire) != epoch_at_start ||
-        shard.map.find(std::string_view(ikey)) != shard.map.end()) {
+        shard.entries.Find(ikey) != shard.entries.end()) {
       discarded_inserts_.fetch_add(1, std::memory_order_relaxed);
     } else {
       uint64_t now = clock_->NowMicros();
       if (!AdmitOrRecordSighting(&shard, ikey, now)) {
         admission_rejects_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        size_t entry_bytes = value->approx_bytes + ikey.size();
-        uint64_t deadline = DeadlineFor(*value, now);
-        shard.lru.push_front(
-            Entry{std::move(ikey), value, entry_bytes, deadline});
-        shard.map.emplace(std::string_view(shard.lru.front().key),
-                          shard.lru.begin());
-        shard.bytes += entry_bytes;
-        EvictOverBudget(&shard);
+        shard.entries.Put(ikey, Entry{value, DeadlineFor(*value, now)},
+                          value->approx_bytes + ikey.size());
       }
     }
   }
@@ -256,7 +206,7 @@ size_t ResultCache::SweepExpired() {
     Shard& shard = *shard_ptr;
     util::MutexLock lock(shard.mu);
     uint64_t now = clock_->NowMicros();
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
       auto next = std::next(it);
       // Reuse the one clock read for the whole shard — a full sweep must
       // not pay a steady_clock call per entry under the lock.
@@ -266,11 +216,10 @@ size_t ResultCache::SweepExpired() {
     // Sightings age out back-to-front: the list is ordered by recording
     // time, so pruning stops at the first still-in-window record. A zero
     // window means sightings never age (only the cap bounds them).
-    while (policy_.admission_window_micros != 0 && !shard.sightings.empty() &&
-           now >= shard.sightings.back().seen_micros +
-                      policy_.admission_window_micros) {
-      shard.sighting_map.erase(std::string_view(shard.sightings.back().key));
-      shard.sightings.pop_back();
+    if (policy_.admission_window_micros != 0) {
+      shard.sightings.EraseOldestWhile([&](const auto& sighting) {
+        return now >= sighting.value + policy_.admission_window_micros;
+      });
     }
   }
   return swept;
@@ -280,9 +229,7 @@ void ResultCache::Clear() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     util::MutexLock lock(shard.mu);
-    shard.map.clear();
-    shard.lru.clear();
-    shard.bytes = 0;
+    shard.entries.Clear();
   }
 }
 
@@ -301,7 +248,6 @@ CacheMetrics ResultCache::metrics() const {
   m.negative_hits = negative_hits_.load(std::memory_order_relaxed);
   m.misses = misses_.load(std::memory_order_relaxed);
   m.coalesced_waits = coalesced_waits_.load(std::memory_order_relaxed);
-  m.evictions = evictions_.load(std::memory_order_relaxed);
   m.discarded_inserts = discarded_inserts_.load(std::memory_order_relaxed);
   m.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
   m.ttl_expiries = ttl_expiries_.load(std::memory_order_relaxed);
@@ -311,8 +257,9 @@ CacheMetrics ResultCache::metrics() const {
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     util::MutexLock lock(shard.mu);
-    m.entries += shard.lru.size();
-    m.approx_bytes += shard.bytes;
+    m.entries += shard.entries.size();
+    m.approx_bytes += shard.entries.bytes();
+    m.evictions += shard.entries.evictions();
     m.tracked_sightings += shard.sightings.size();
   }
   return m;

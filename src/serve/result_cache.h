@@ -13,23 +13,22 @@
 //   - Shards (power of two, independently mutexed) keep the hot path
 //     contention-free; keys are partitioned by hash, LRU order, budgets
 //     and the admission doorkeeper are per shard.
-//   - Capacity is bounded twice: entry count and approximate bytes
-//     (CachedResult::approx_bytes + key size). Either limit evicts from
-//     the shard's LRU tail. The entry just inserted is never evicted by
-//     its own insert, so one oversized result can transiently exceed the
-//     byte budget (and is then evicted by the next insert).
+//   - Capacity: each shard's entries are a util::BoundedLru
+//     (util/bounded_lru.h) with the shard's share of the entry and byte
+//     budgets; an entry is charged CachedResult::approx_bytes + key size.
 //   - Admission (CachePolicyOptions::admission_enabled): a doorkeeper in
 //     the TinyLFU spirit — a key's *first* sighting only records it; the
 //     result is returned to the caller but not cached. A second sighting
 //     within the sliding window (now < seen + admission_window_micros)
 //     admits the entry. One-hit-wonder long-tail keys therefore never
 //     spend budget bytes, so hot keys stay resident (bench_cache's
-//     long-tail section measures exactly this). The doorkeeper is bounded
-//     (admission_max_tracked per shard, oldest sighting evicted first)
-//     and deterministic, so the property harness can model it exactly.
-//     TTL expiry re-seeds it: an entry erased by its deadline leaves a
-//     sighting, so a still-hot key re-admits on its first recompute
-//     (LRU eviction leaves none — budget victims must re-earn entry).
+//     long-tail section measures exactly this). The doorkeeper is a
+//     second BoundedLru of sighting times, capped at admission_max_tracked
+//     per shard, and deterministic, so the property harness can model it
+//     exactly. TTL expiry re-seeds it: an entry erased by its deadline
+//     leaves a sighting, so a still-hot key re-admits on its first
+//     recompute (LRU eviction leaves none — budget victims must re-earn
+//     entry).
 //   - Expiry: entries carry a deadline (insert time + ttl). OK-empty
 //     results — negative answers, distinguishable since the api layer —
 //     use the separate (typically much shorter) negative TTL. Expiry is
@@ -57,9 +56,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -68,6 +67,7 @@
 #include "search/search_context.h"
 #include "serve/clock.h"
 #include "serve/metrics.h"
+#include "util/bounded_lru.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -88,7 +88,7 @@ struct CachedResult {
 using ResultPtr = std::shared_ptr<const CachedResult>;
 
 /// Conservative heap-footprint estimate of a result list (QueryResult
-/// shells + OS node arenas + children lists + selections), for
+/// shells + OsTree::ApproxHeapBytes + selections), for
 /// CachedResult::approx_bytes.
 size_t ApproxResultBytes(const std::vector<api::QueryResult>& results);
 
@@ -180,39 +180,32 @@ class ResultCache {
 
  private:
   struct Entry {
-    std::string key;  // epoch-prefixed internal key
-    ResultPtr value;
-    size_t bytes = 0;         // approx_bytes + key size
-    uint64_t deadline = 0;    // expires once now >= deadline; 0 = never
+    ResultPtr result;
+    uint64_t deadline = 0;  // expires once now >= deadline; 0 = never
   };
-  using Lru = std::list<Entry>;
+  using Lru = util::BoundedLru<Entry>;
 
-  /// One doorkeeper record: this key was computed-but-not-admitted at
-  /// `seen_micros`. Recency-ordered like the LRU so the per-shard cap can
-  /// evict the oldest sighting deterministically.
-  struct Sighting {
-    std::string key;  // epoch-prefixed internal key
-    uint64_t seen_micros = 0;
-  };
-  using SightingList = std::list<Sighting>;
-
+  /// Keys are epoch-prefixed internal keys. `sightings` is the admission
+  /// doorkeeper: key -> when it was computed but not admitted.
   struct Shard {
+    Shard(size_t max_entries, size_t max_bytes, size_t max_tracked)
+        : entries(max_entries, max_bytes),
+          sightings(max_tracked, SIZE_MAX) {}
+
     util::Mutex mu;
-    Lru lru GUARDED_BY(mu);  // front = most recently used
-    std::unordered_map<std::string_view, Lru::iterator> map GUARDED_BY(mu);
+    Lru entries GUARDED_BY(mu);
     std::unordered_map<std::string, std::shared_future<ResultPtr>> inflight
         GUARDED_BY(mu);
-    size_t bytes GUARDED_BY(mu) = 0;
-    SightingList sightings GUARDED_BY(mu);  // front = most recently recorded
-    std::unordered_map<std::string_view, SightingList::iterator> sighting_map
-        GUARDED_BY(mu);
+    util::BoundedLru<uint64_t> sightings GUARDED_BY(mu);
   };
 
   std::string InternalKey(uint64_t epoch, const std::string& key) const;
   Shard& ShardFor(const std::string& internal_key);
-  /// Evicts from the LRU tail until both per-shard budgets hold, never
-  /// touching the front (most recent) entry.
-  void EvictOverBudget(Shard* shard) REQUIRES(shard->mu);
+  /// The hit path shared by Lookup and GetOrCompute: the live entry for
+  /// `ikey` (refreshed and counted as a hit) or nullptr. An expired entry
+  /// is erased on the way (see EraseIfExpired).
+  ResultPtr FindLive(Shard* shard, const std::string& ikey)
+      REQUIRES(shard->mu);
   /// True when `it`'s entry has a deadline the clock reached; erases it
   /// and counts the expiry when so. Reads the clock only for entries that
   /// actually carry a deadline, so the no-TTL hit path costs no clock
@@ -224,10 +217,6 @@ class ResultCache {
   /// SweepExpired reads the clock once per shard, not once per entry.
   bool EraseExpiredAt(Shard* shard, Lru::iterator it, uint64_t now)
       REQUIRES(shard->mu);
-  /// Records (or refreshes and front-moves) a sighting of `ikey` at
-  /// `now`, evicting the oldest past the cap.
-  void RecordSighting(Shard* shard, const std::string& ikey, uint64_t now)
-      REQUIRES(shard->mu);
   /// The doorkeeper decision for an insert of `ikey` at `now`: true
   /// admits (consuming the sighting), false records or refreshes a
   /// sighting and rejects.
@@ -237,10 +226,7 @@ class ResultCache {
   uint64_t DeadlineFor(const CachedResult& value, uint64_t now) const;
 
   const size_t num_shards_;
-  const size_t max_entries_per_shard_;
-  const size_t max_bytes_per_shard_;
   const CachePolicyOptions policy_;
-  const size_t max_tracked_per_shard_;
   const std::shared_ptr<const Clock> clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> epoch_{0};
@@ -249,7 +235,6 @@ class ResultCache {
   std::atomic<uint64_t> negative_hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> coalesced_waits_{0};
-  std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> discarded_inserts_{0};
   std::atomic<uint64_t> admission_rejects_{0};
   std::atomic<uint64_t> ttl_expiries_{0};

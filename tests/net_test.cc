@@ -14,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -214,6 +215,40 @@ class CountingBackend : public core::OsBackend {
  private:
   core::OsBackend* inner_;
   std::atomic<uint64_t> fetches_{0};
+};
+
+/// Delegating back end that takes a caller-supplied reading at every join
+/// call and keeps the latest — how a test captures a server counter at
+/// the moment a particular request is being computed.
+class ProbeBackend : public core::OsBackend {
+ public:
+  explicit ProbeBackend(core::OsBackend* inner) : inner_(inner) {}
+
+  const char* name() const override { return "probe"; }
+
+  void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
+             rel::TupleId parent_tuple,
+             std::vector<rel::TupleId>* out) override {
+    last_.store(probe_());
+    inner_->Fetch(link, dir, parent_tuple, out);
+  }
+  void FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
+                rel::TupleId parent_tuple, size_t limit,
+                double min_importance,
+                std::vector<rel::TupleId>* out) override {
+    last_.store(probe_());
+    inner_->FetchTop(link, dir, parent_tuple, limit, min_importance, out);
+  }
+
+  /// Set before the threads that compute queries exist or are handed
+  /// work; until then every reading is 0.
+  void SetProbe(std::function<uint64_t()> probe) { probe_ = std::move(probe); }
+  uint64_t last_reading() const { return last_.load(); }
+
+ private:
+  core::OsBackend* inner_;
+  std::function<uint64_t()> probe_ = [] { return uint64_t{0}; };
+  std::atomic<uint64_t> last_{0};
 };
 
 /// A bare kernel-level listener that never speaks the protocol — the prop
@@ -526,10 +561,22 @@ TEST(NetServer, StartupErrorsAreReportedNotFatal) {
 // the firehose's entire backlog. (Under the old drain-to-exhaustion
 // dispatch the firehose's whole burst entered the pool queue first and
 // this assertion fails by two orders of magnitude.)
+//
+// The interactive request's position is read inside its own compute,
+// when its answer is produced: read after Receive, it would also count
+// the firehose requests served while the client thread was waking up.
 TEST(NetFairness, FirehoseCannotStarveTheInteractiveConnection) {
   ScoredDblp dblp(SmallDblpConfig());
   GatedBackend gated(&dblp.backend);
-  search::SearchContext context = BuildDblpContext(dblp.d, &gated);
+  ProbeBackend probe(&gated);
+  search::SearchContext context = BuildDblpContext(dblp.d, &probe);
+  // Memoize every "faloutsos" OS tree at l = 8, so that the flood's
+  // computes make no join calls past its first (gated, l = 9) request,
+  // and the probe's last reading comes from the interactive compute.
+  api::QueryOptions warm;
+  warm.l = 8;
+  warm.max_results = 1000;
+  ASSERT_FALSE(context.Query("faloutsos", warm).empty());
   serve::ServiceOptions so;
   so.num_threads = 1;  // serial computes make "how many ran first" exact
   so.cache.num_shards = 2;
@@ -537,6 +584,7 @@ TEST(NetFairness, FirehoseCannotStarveTheInteractiveConnection) {
   ServerOptions options;
   options.max_inflight_requests = 4;
   Server server(&service, options);
+  probe.SetProbe([&server] { return server.stats().responses_out; });
   ASSERT_TRUE(server.Start().ok());
   auto connect = [&] {
     api::StatusOr<Client> c =
@@ -549,12 +597,14 @@ TEST(NetFairness, FirehoseCannotStarveTheInteractiveConnection) {
 
   // Park the pool, then flood: every firehose request is a distinct-key
   // miss (same keywords, different max_results), so nothing coalesces.
+  // Only the first one has no memoized tree, and it holds the gate.
   constexpr uint64_t kFlood = 200;
   gated.CloseGate();
   for (uint64_t i = 0; i < kFlood; ++i) {
     ASSERT_TRUE(firehose
-                    .Send(api::QueryRequest("faloutsos").WithL(8).WithMaxResults(
-                        1 + i))
+                    .Send(api::QueryRequest("faloutsos")
+                              .WithL(i == 0 ? 9 : 8)
+                              .WithMaxResults(1 + i))
                     .ok());
   }
   // Wait until the flood is on the server (window-many dispatched, the
@@ -573,10 +623,13 @@ TEST(NetFairness, FirehoseCannotStarveTheInteractiveConnection) {
   api::StatusOr<api::QueryResponse> answer = interactive.Receive();
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_TRUE(answer->ok()) << answer->status.ToString();
-  // The interactive answer arrived while the firehose backlog was still
-  // mostly unserved: it waited for at most a window's worth of computes
-  // plus a couple of round-robin turns, not for kFlood of them.
-  uint64_t served_first = server.stats().responses_out;
+  // The interactive answer was produced while the firehose backlog was
+  // still mostly unserved: it waited for at most a window's worth of
+  // computes plus a couple of round-robin turns, not for kFlood of them.
+  // It is dispatched only once a window slot frees, so at least one
+  // response precedes it.
+  uint64_t served_first = probe.last_reading();
+  EXPECT_GE(served_first, 1u) << "the probe missed the interactive compute";
   EXPECT_LT(served_first, 32u)
       << "interactive request waited behind the firehose backlog";
 

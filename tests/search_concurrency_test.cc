@@ -97,7 +97,7 @@ void ExpectBatchMatchesSerial(const SearchContext& ctx,
   }
 }
 
-TEST(QueryBatchEquivalence, DataGraphBackendDblp) {
+TEST(ExecuteBatchEquivalence, DataGraphBackendDblp) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryOptions options;
@@ -106,7 +106,7 @@ TEST(QueryBatchEquivalence, DataGraphBackendDblp) {
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
-TEST(QueryBatchEquivalence, DatabaseBackendDblp) {
+TEST(ExecuteBatchEquivalence, DatabaseBackendDblp) {
   ScoredDblp f(SmallDblpConfig());
   // Latency 0: the simulated round-trip only burns wall clock and must not
   // affect results.
@@ -119,7 +119,7 @@ TEST(QueryBatchEquivalence, DatabaseBackendDblp) {
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
-TEST(QueryBatchEquivalence, BothBackendsAgreeOnTpch) {
+TEST(ExecuteBatchEquivalence, BothBackendsAgreeOnTpch) {
   ScoredTpch f(SmallTpchConfig());
   core::DatabaseBackend sql(f.t.db, f.t.links, /*per_select_micros=*/0.0);
   std::vector<SearchContext::Subject> subjects;
@@ -156,7 +156,7 @@ TEST(QueryBatchEquivalence, BothBackendsAgreeOnTpch) {
   }
 }
 
-TEST(QueryBatchEquivalence, DegenerateBatches) {
+TEST(ExecuteBatchEquivalence, DegenerateBatches) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   util::ThreadPool pool(16);
@@ -168,7 +168,7 @@ TEST(QueryBatchEquivalence, DegenerateBatches) {
   EXPECT_EQ(batch[0], SerialFingerprints(ctx, one)[0]);
 }
 
-TEST(QueryBatchEquivalence, SummaryRankingMatchesSerial) {
+TEST(ExecuteBatchEquivalence, SummaryRankingMatchesSerial) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryOptions options;

@@ -387,31 +387,6 @@ TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
   EXPECT_GT(service.metrics().partials.misses, after.partials.misses);
 }
 
-// ServiceOptions::partials applies to the context bound at construction
-// and to every context bound by RebindContext afterwards.
-TEST(QueryServiceEpoch, PartialsOptionConfiguresEveryBoundContext) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx1 = BuildDblpContext(f.d, &f.backend);
-  search::SearchContext ctx2 = BuildDblpContext(f.d, &f.backend);
-
-  ServiceOptions o = SmallService();
-  core::PartialsMemoOptions off;
-  off.enabled = false;
-  o.partials = off;
-  QueryService service(ctx1, o);
-  api::QueryOptions options;
-  options.l = 8;
-
-  ASSERT_TRUE(service.Execute(api::QueryRequest("databases", options)).ok());
-  EXPECT_EQ(service.metrics().partials.inserts, 0u);
-  EXPECT_FALSE(ctx1.partials_memo().enabled());
-
-  service.RebindContext(ctx2);
-  EXPECT_FALSE(ctx2.partials_memo().enabled());
-  ASSERT_TRUE(service.Execute(api::QueryRequest("databases", options)).ok());
-  EXPECT_EQ(service.metrics().partials.inserts, 0u);
-}
-
 // The lifetime half of the RebindContext contract: it must not return
 // while a query is still executing against the old context, because the
 // caller is entitled to destroy that context the moment it returns.
@@ -843,11 +818,11 @@ TEST(QueryServicePolicy, ExpiryRecomputesOnceAndRebindBeatsTtl) {
   so.cache.policy.negative_ttl_micros = 100;
   // The partials memo would serve the post-expiry recompute without
   // touching the (gated) backend — correct, but it would decouple the
-  // gate from the stampede this test proves. Disable it through the
-  // service knob so the recompute demonstrably reaches the backend.
+  // gate from the stampede this test proves. Disable the context's memo
+  // so the recompute demonstrably reaches the backend.
   core::PartialsMemoOptions no_partials;
   no_partials.enabled = false;
-  so.partials = no_partials;
+  ctx.partials_memo().Configure(no_partials);
   QueryService service(ctx, so);
 
   api::QueryOptions options;

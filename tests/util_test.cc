@@ -1,18 +1,22 @@
 // Unit tests for osum::util — RNG determinism, distributions, summaries,
-// string helpers, the table printer, the thread-pool primitives and the
-// annotated mutex/condvar wrappers behind the lint lane.
+// string helpers, the table printer, the thread-pool primitives, the
+// annotated mutex/condvar wrappers behind the lint lane and the BoundedLru
+// under the reuse tiers.
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/bounded_lru.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -317,6 +321,43 @@ TEST(StringUtil, FormatDoubleTrimsZeros) {
 TEST(StringUtil, StartsWith) {
   EXPECT_TRUE(StartsWith("prelim-l", "prelim"));
   EXPECT_FALSE(StartsWith("os", "osum"));
+}
+
+// The memo and cache suites cover entry-budget eviction, lookup recency
+// and the newest-survives rule; these cover what only the doorkeeper and
+// future tiers use.
+TEST(BoundedLru, ByteBudgetAloneEvictsOldestFirst) {
+  BoundedLru<int> lru(/*max_entries=*/SIZE_MAX, /*max_bytes=*/100);
+  lru.Put("a", 1, 40);
+  lru.Put("b", 2, 40);
+  lru.Put("c", 3, 40);  // 120 bytes: "a" goes
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.bytes(), 80u);
+  EXPECT_EQ(lru.evictions(), 1u);
+  EXPECT_EQ(lru.Find("a"), lru.end());
+
+  // Re-charging a present key moves the ledger by the difference.
+  lru.Put("b", 2, 90);  // 130 bytes: "c" is now the oldest and goes
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.bytes(), 90u);
+  EXPECT_EQ(lru.evictions(), 2u);
+  EXPECT_NE(lru.Find("b"), lru.end());
+}
+
+TEST(BoundedLru, PutOnAPresentKeyRefreshesRecencyAndValue) {
+  BoundedLru<int> lru(/*max_entries=*/2, /*max_bytes=*/SIZE_MAX);
+  lru.Put("a", 1, 0);
+  lru.Put("b", 2, 0);
+  lru.Put("a", 10, 0);  // touch: no eviction, "b" becomes the oldest
+  EXPECT_EQ(lru.evictions(), 0u);
+  lru.Put("c", 3, 0);
+  EXPECT_EQ(lru.evictions(), 1u);
+  EXPECT_EQ(lru.Find("b"), lru.end());
+  ASSERT_NE(lru.Find("a"), lru.end());
+  EXPECT_EQ(lru.Find("a")->value, 10);
+  std::vector<std::string> newest_first;
+  for (const auto& entry : lru) newest_first.push_back(entry.key);
+  EXPECT_EQ(newest_first, (std::vector<std::string>{"c", "a"}));
 }
 
 
