@@ -189,7 +189,6 @@ double RunLongTailArm(const search::SearchContext& ctx,
                       const std::string& label, bench::JsonReport* json) {
   serve::ServiceOptions so;
   so.num_threads = 1;
-  so.cache.num_shards = 1;  // one global LRU: the budget is the story
   so.cache.max_entries = 2 * universe.size();  // bytes are the binding cap
   so.cache.max_bytes = max_bytes;
   so.cache.policy.admission_enabled = admission_on;

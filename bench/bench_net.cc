@@ -335,7 +335,6 @@ OverloadResult RunOverload(search::SearchContext& context, GatedBackend* gate,
   auto clock = std::make_shared<serve::FakeClock>();
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;  // one worker: the pool the blocker parks
-  service_options.cache.num_shards = 2;
   service_options.cache.clock = clock;
   service_options.overload.max_pending_misses = watermark;
   serve::QueryService service(context, service_options);

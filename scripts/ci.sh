@@ -4,7 +4,7 @@
 #   2. Debug + ASan/UBSan — catches what optimized builds hide
 #   3. Debug + TSan       — proves the concurrent query path (ExecuteBatch
 #      over a shared SearchContext), the serving layer (QueryService +
-#      sharded ResultCache) and the TCP front end (net::Server event loop
+#      ResultCache) and the TCP front end (net::Server event loop
 #      vs pool workers) race on nothing; runs the search-, serve- and
 #      net-labeled suites, which include the concurrency/stampede stress
 #      aggregates (labeled search;slow / serve;slow).
@@ -16,7 +16,11 @@
 # differ by design; the report proves the diff plumbing), and smokes the
 # api wire format: `osum_cli query --wire json` must produce a document
 # Python's json module parses. The `quickstart` and `dblp_search` examples
-# must each exit 0 and print a non-empty ranked result.
+# must each exit 0 and print a non-empty ranked result. Finally the serving
+# benchmark (perfbench/run.py) builds from this checkout and runs each of
+# its three workloads for 2 s, plus one traced run; every run's result line
+# must report "correct": true and "failed": 0, so a src/ API change cannot
+# break the benchmark unnoticed.
 #
 # Dedicated full-size perf lane (opt-in): OSUM_PERF_LANE=1 scripts/ci.sh
 # builds Release only, runs bench_cache at FULL size and gates hard with
@@ -66,8 +70,11 @@ if [[ "${OSUM_PERF_LANE:-0}" == "1" ]]; then
   # single-threaded workload, so the arena-allocation and partials-reuse
   # rows are machine-independent and gate near-exactly. The target only
   # exists when google-benchmark is installed; skipping on machines
-  # without it is explicit, never a silent compile-failure swallow.
-  if cmake --build build-release --target help | grep -q 'bench_micro'; then
+  # without it is explicit, never a silent compile-failure swallow. No
+  # `grep -q`: it exits at the first match, the make behind `help` then
+  # dies of SIGPIPE, and pipefail would turn the match into a skip.
+  if cmake --build build-release --target help | grep 'bench_micro' \
+      > /dev/null; then
     echo "==== perf lane: full-size bench_micro vs baseline (--strict) ===="
     cmake --build build-release -j "${JOBS}" --target bench_micro
     micro_json="build-release/bench_micro_perf.json"
@@ -171,6 +178,27 @@ grep -q '^--- |OS|=' build-release/quickstart_smoke.out
 build-release/examples/dblp_search > build-release/dblp_search_smoke.out
 grep -q '^#1 ' build-release/dblp_search_smoke.out
 echo "examples smoke ok"
+
+# perfbench smoke: run.py itself fails on a build error, a nonzero exit or
+# a result whose metric names differ from BENCHMARK.json; this adds the
+# correctness verdict. Its build tree lives under build-release.
+echo "==== perfbench smoke (3 workloads x 2 s, plus --trace 1) ===="
+perfbench_smoke() {
+  local out="build-release/perfbench_smoke_$1_trace$2.out"
+  CARGO_TARGET_DIR=build-release/perfbench-smoke python3 perfbench/run.py \
+      --workload "$1" --seed 1 --seconds 2 --trace "$2" > "${out}"
+  python3 - "${out}" <<'PY'
+import json, sys
+lines = open(sys.argv[1], encoding="utf-8").read().strip().splitlines()
+result = json.loads(lines[-1])
+assert result["correct"] is True and result["failed"] == 0, result
+print(f"perfbench smoke ok: {sys.argv[1]}: {result['attempted']} attempted")
+PY
+}
+for workload in dblp_authors_db dblp_titles_db tpch_dp_db; do
+  perfbench_smoke "${workload}" 0
+done
+perfbench_smoke dblp_titles_db 1
 
 run_config build-asan -- -DCMAKE_BUILD_TYPE=Debug -DOSUM_SANITIZE=address
 # Benches and examples are never executed under TSan; skip their

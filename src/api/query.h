@@ -4,7 +4,7 @@
 // QueryRequest bundles the keyword string with every result-affecting knob
 // (the former loose `(string_view, QueryOptions)` tuple), validates itself
 // into typed Status errors, and canonicalizes itself into the cache key the
-// serving layer shards on. QueryResponse pairs a Status with the ranked
+// serving layer caches on. QueryResponse pairs a Status with the ranked
 // results and per-query metadata (cache hit/miss, compute time, cache
 // epoch) — so a genuine empty answer (kOk, zero results) is distinguishable
 // from a failure, the precondition for negative caching and for serving

@@ -1,8 +1,8 @@
 #include "core/os_backend.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
+#include <stdexcept>
 
 namespace osum::core {
 
@@ -38,9 +38,13 @@ void DataGraphBackend::FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
                                 rel::TupleId parent_tuple, size_t limit,
                                 double min_importance,
                                 std::vector<rel::TupleId>* out) {
+  // Checked in every build type: the early exits below assume descending
+  // importance, so unsorted adjacency would return a wrong TOP-l.
+  if (!graph_.neighbors_sorted()) {
+    throw std::logic_error(
+        "FetchTop requires DataGraph::SortNeighborsByImportance");
+  }
   out->clear();
-  assert(graph_.neighbors_sorted() &&
-         "FetchTop requires DataGraph::SortNeighborsByImportance");
   const graph::LinkType& lt = links_.link(link);
   rel::RelationId target_rel = dir == rel::FkDirection::kForward ? lt.b : lt.a;
   const rel::Relation& target = db_.relation(target_rel);

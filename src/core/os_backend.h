@@ -55,8 +55,8 @@ class OsBackend {
   util::AtomicIoStats stats_;
 };
 
-/// In-memory data-graph back end (the paper's fast path). Requires
-/// DataGraph::SortNeighborsByImportance for FetchTop.
+/// In-memory data-graph back end (the paper's fast path). FetchTop throws
+/// std::logic_error unless DataGraph::SortNeighborsByImportance ran.
 class DataGraphBackend : public OsBackend {
  public:
   DataGraphBackend(const rel::Database& db, const graph::LinkSchema& links,

@@ -1,9 +1,9 @@
 #include "core/os_generator.h"
 
-#include <cassert>
 #include <deque>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 namespace osum::core {
@@ -64,8 +64,12 @@ OsTree GenerateCompleteOs(const rel::Database& db, const gds::Gds& gds,
 OsTree GeneratePrelimOs(const rel::Database& db, const gds::Gds& gds,
                         OsBackend* backend, rel::TupleId tds, size_t l,
                         const OsGenOptions& options, PrelimStats* stats) {
-  assert(gds.annotated() &&
-         "GeneratePrelimOs requires Gds::AnnotateStatistics");
+  // Checked in every build type: an unannotated G_DS has max = mmax = 0,
+  // so AC1 would skip every child and return a root-only OS.
+  if (!gds.annotated()) {
+    throw std::logic_error(
+        "GeneratePrelimOs requires Gds::AnnotateStatistics");
+  }
   OsTree os;
   const gds::GdsNode& root_spec = gds.root();
   const rel::Relation& root_rel = db.relation(root_spec.relation);

@@ -46,7 +46,7 @@ OsTree GenerateCompleteOs(const rel::Database& db, const gds::Gds& gds,
 /// contain the l tuples of the complete OS with the largest local
 /// importance (Definition 2) — using Avoidance Conditions 1 and 2.
 /// Requires Gds::AnnotateStatistics (max/mmax) and importance-sorted access
-/// paths in the back end.
+/// paths in the back end; throws std::logic_error when either is missing.
 OsTree GeneratePrelimOs(const rel::Database& db, const gds::Gds& gds,
                         OsBackend* backend, rel::TupleId tds, size_t l,
                         const OsGenOptions& options = {},

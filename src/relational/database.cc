@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace osum::rel {
 
@@ -123,8 +124,12 @@ std::vector<TupleId> Database::ChildrenTopImportance(
     ForeignKeyId fk, TupleId parent_tuple, size_t limit,
     double min_importance) const {
   assert(indexes_built_);
-  assert(indexes_sorted_ &&
-         "ChildrenTopImportance requires SortIndexesByImportance()");
+  // Checked in every build type: the early exits below assume descending
+  // importance, so unsorted postings would return a wrong TOP-l.
+  if (!indexes_sorted_) {
+    throw std::logic_error(
+        "ChildrenTopImportance requires SortIndexesByImportance()");
+  }
   const Relation& child = *relations_[fks_[fk].child];
   const auto& posting = indexes_[fk].postings[parent_tuple];
   std::vector<TupleId> out;

@@ -103,9 +103,10 @@ class Database {
 
   /// SELECT * TOP `limit` FROM child WHERE child.fk = parent_tuple
   ///   AND importance > min_importance ORDER BY importance DESC
-  /// (Algorithm 4 line 10, Avoidance Condition 2). Requires
-  /// SortIndexesByImportance(). Note: this still costs one SELECT even when
-  /// it returns nothing — the Section 5.3 cost caveat.
+  /// (Algorithm 4 line 10, Avoidance Condition 2). Throws
+  /// std::logic_error unless SortIndexesByImportance() ran. Note: this
+  /// still costs one SELECT even when it returns nothing — the Section 5.3
+  /// cost caveat.
   std::vector<TupleId> ChildrenTopImportance(ForeignKeyId fk,
                                              TupleId parent_tuple,
                                              size_t limit,

@@ -17,7 +17,7 @@
 namespace osum::serve {
 
 /// Monotonic microsecond time source. Implementations must be
-/// thread-safe: the cache reads the clock under per-shard locks from
+/// thread-safe: the cache reads the clock under its lock from
 /// every serving thread.
 class Clock {
  public:

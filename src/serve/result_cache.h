@@ -1,4 +1,4 @@
-// Sharded, stampede-safe LRU cache of ranked query results, with a
+// Stampede-safe LRU cache of ranked query results, with a
 // byte-budget-aware cache *policy*: doorkeeper admission, per-entry TTLs
 // and negative-result TTLs.
 //
@@ -10,12 +10,13 @@
 //   - Values are immutable shared_ptr<const CachedResult>: a hit hands the
 //     caller a reference into the cache that stays valid after eviction,
 //     so no copying and no lifetime coupling.
-//   - Shards (power of two, independently mutexed) keep the hot path
-//     contention-free; keys are partitioned by hash, LRU order, budgets
-//     and the admission doorkeeper are per shard.
-//   - Capacity: each shard's entries are a util::BoundedLru
-//     (util/bounded_lru.h) with the shard's share of the entry and byte
-//     budgets; an entry is charged CachedResult::approx_bytes + key size.
+//   - One lock: a single util::Mutex guards the entries, the in-flight
+//     map and the doorkeeper sightings. Critical sections are pointer
+//     copies and list splices — compute always runs outside the lock — so
+//     the lock the property harness models is the lock that serves.
+//   - Capacity: the entries are a util::BoundedLru (util/bounded_lru.h)
+//     holding the whole-cache entry and byte budgets; an entry is charged
+//     CachedResult::approx_bytes + key size.
 //   - Admission (CachePolicyOptions::admission_enabled): a doorkeeper in
 //     the TinyLFU spirit — a key's *first* sighting only records it; the
 //     result is returned to the caller but not cached. A second sighting
@@ -23,12 +24,11 @@
 //     admits the entry. One-hit-wonder long-tail keys therefore never
 //     spend budget bytes, so hot keys stay resident (bench_cache's
 //     long-tail section measures exactly this). The doorkeeper is a
-//     second BoundedLru of sighting times, capped at admission_max_tracked
-//     per shard, and deterministic, so the property harness can model it
-//     exactly. TTL expiry re-seeds it: an entry erased by its deadline
-//     leaves a sighting, so a still-hot key re-admits on its first
-//     recompute (LRU eviction leaves none — budget victims must re-earn
-//     entry).
+//     second BoundedLru of sighting times, capped at admission_max_tracked,
+//     and deterministic, so the property harness can model it exactly.
+//     TTL expiry re-seeds it: an entry erased by its deadline leaves a
+//     sighting, so a still-hot key re-admits on its first recompute (LRU
+//     eviction leaves none — budget victims must re-earn entry).
 //   - Expiry: entries carry a deadline (insert time + ttl). OK-empty
 //     results — negative answers, distinguishable since the api layer —
 //     use the separate (typically much shorter) negative TTL. Expiry is
@@ -111,18 +111,15 @@ struct CachePolicyOptions {
   /// "no time limit": sightings never age out and the doorkeeper is
   /// bounded by admission_max_tracked alone. Default 10 minutes.
   uint64_t admission_window_micros = 600ull * 1'000'000;
-  /// Per-shard bound on remembered sightings; oldest-recorded is evicted
-  /// first. 0 = auto (8x the shard's entry budget, minimum 64).
+  /// Bound on remembered sightings; oldest-recorded is evicted first.
+  /// 0 = auto (8x max_entries, minimum 64).
   size_t admission_max_tracked = 0;
 };
 
 struct ResultCacheOptions {
-  /// Rounded up to a power of two; minimum 1. Use 1 in tests that assert
-  /// global LRU order.
-  size_t num_shards = 8;
-  /// Whole-cache entry cap, split evenly across shards (minimum 1 each).
+  /// Entry cap (minimum 1).
   size_t max_entries = 1024;
-  /// Whole-cache approximate-byte cap, split evenly across shards.
+  /// Approximate-byte cap (minimum 1).
   size_t max_bytes = 64ull << 20;
   CachePolicyOptions policy;
   /// Time source for TTLs and the admission window; null uses the shared
@@ -134,8 +131,8 @@ class ResultCache {
  public:
   explicit ResultCache(ResultCacheOptions options = {});
 
-  // Shards hold mutexes and in-flight futures; the cache is a fixture, not
-  // a value.
+  // The cache holds a mutex and in-flight futures; it is a fixture, not a
+  // value.
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -185,60 +182,51 @@ class ResultCache {
   };
   using Lru = util::BoundedLru<Entry>;
 
-  /// Keys are epoch-prefixed internal keys. `sightings` is the admission
-  /// doorkeeper: key -> when it was computed but not admitted.
-  struct Shard {
-    Shard(size_t max_entries, size_t max_bytes, size_t max_tracked)
-        : entries(max_entries, max_bytes),
-          sightings(max_tracked, SIZE_MAX) {}
-
-    util::Mutex mu;
-    Lru entries GUARDED_BY(mu);
-    std::unordered_map<std::string, std::shared_future<ResultPtr>> inflight
-        GUARDED_BY(mu);
-    util::BoundedLru<uint64_t> sightings GUARDED_BY(mu);
-  };
-
   std::string InternalKey(uint64_t epoch, const std::string& key) const;
-  Shard& ShardFor(const std::string& internal_key);
   /// The hit path shared by Lookup and GetOrCompute: the live entry for
   /// `ikey` (refreshed and counted as a hit) or nullptr. An expired entry
   /// is erased on the way (see EraseIfExpired).
-  ResultPtr FindLive(Shard* shard, const std::string& ikey)
-      REQUIRES(shard->mu);
+  ResultPtr FindLive(const std::string& ikey) REQUIRES(mu_);
   /// True when `it`'s entry has a deadline the clock reached; erases it
   /// and counts the expiry when so. Reads the clock only for entries that
   /// actually carry a deadline, so the no-TTL hit path costs no clock
   /// call. With admission enabled, the erased key gets a sighting — an
   /// expired hot key re-admits on its first recompute instead of being
   /// doorkeeper-rejected once per TTL period.
-  bool EraseIfExpired(Shard* shard, Lru::iterator it) REQUIRES(shard->mu);
+  bool EraseIfExpired(Lru::iterator it) REQUIRES(mu_);
   /// The body of EraseIfExpired against a caller-supplied timestamp —
-  /// SweepExpired reads the clock once per shard, not once per entry.
-  bool EraseExpiredAt(Shard* shard, Lru::iterator it, uint64_t now)
-      REQUIRES(shard->mu);
+  /// SweepExpired reads the clock once per sweep, not once per entry.
+  bool EraseExpiredAt(Lru::iterator it, uint64_t now) REQUIRES(mu_);
   /// The doorkeeper decision for an insert of `ikey` at `now`: true
   /// admits (consuming the sighting), false records or refreshes a
   /// sighting and rejects.
-  bool AdmitOrRecordSighting(Shard* shard, const std::string& ikey,
-                             uint64_t now) REQUIRES(shard->mu);
+  bool AdmitOrRecordSighting(const std::string& ikey, uint64_t now)
+      REQUIRES(mu_);
   /// Entry deadline for a value inserted at `now` (0 = never expires).
   uint64_t DeadlineFor(const CachedResult& value, uint64_t now) const;
 
-  const size_t num_shards_;
   const CachePolicyOptions policy_;
   const std::shared_ptr<const Clock> clock_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Atomic so QueryService can stamp every response without the lock;
+  // BumpEpoch advances it before clearing under the lock.
   std::atomic<uint64_t> epoch_{0};
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> negative_hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> coalesced_waits_{0};
-  std::atomic<uint64_t> discarded_inserts_{0};
-  std::atomic<uint64_t> admission_rejects_{0};
-  std::atomic<uint64_t> ttl_expiries_{0};
-  std::atomic<uint64_t> negative_ttl_expiries_{0};
+  /// Keys are epoch-prefixed internal keys. `sightings_` is the admission
+  /// doorkeeper: key -> when it was computed but not admitted.
+  mutable util::Mutex mu_;
+  Lru entries_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::shared_future<ResultPtr>> inflight_
+      GUARDED_BY(mu_);
+  util::BoundedLru<uint64_t> sightings_ GUARDED_BY(mu_);
+
+  uint64_t hits_ GUARDED_BY(mu_) = 0;
+  uint64_t negative_hits_ GUARDED_BY(mu_) = 0;
+  uint64_t misses_ GUARDED_BY(mu_) = 0;
+  uint64_t coalesced_waits_ GUARDED_BY(mu_) = 0;
+  uint64_t discarded_inserts_ GUARDED_BY(mu_) = 0;
+  uint64_t admission_rejects_ GUARDED_BY(mu_) = 0;
+  uint64_t ttl_expiries_ GUARDED_BY(mu_) = 0;
+  uint64_t negative_ttl_expiries_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace osum::serve

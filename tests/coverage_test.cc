@@ -24,31 +24,57 @@ using osum::testing::SmallTpchConfig;
 
 // ------------------------------------------------ avoidance-condition toggles
 
+/// Node-by-node identity of two OS trees: every OsNode field, with exact
+/// importances (both generators compute Im(t) * Af(R_i) the same way).
+::testing::AssertionResult IdenticalTree(const core::OsTree& got,
+                                         const core::OsTree& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "tree size " << got.size() << " != " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    const core::OsNode& g = got.node(static_cast<core::OsNodeId>(i));
+    const core::OsNode& w = want.node(static_cast<core::OsNodeId>(i));
+    if (g.parent != w.parent || g.gds_node != w.gds_node ||
+        g.relation != w.relation || g.tuple != w.tuple ||
+        g.local_importance != w.local_importance || g.depth != w.depth ||
+        g.children != w.children) {
+      return ::testing::AssertionFailure() << "node " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(PrelimToggles, DisablingConditionsNeverShrinksTheTree) {
   ScoredDblp f(SmallDblpConfig());
   datasets::Dblp& d = f.d;
   gds::Gds gds = datasets::DblpAuthorGds(d);
-  core::DataGraphBackend& backend = f.backend;
+  core::DatabaseBackend sql(d.db, d.links, /*per_select_micros=*/0.0);
   core::OsGenOptions both, no_ac1, no_ac2, none;
   no_ac1.prelim_use_ac1 = false;
   no_ac2.prelim_use_ac2 = false;
   none.prelim_use_ac1 = none.prelim_use_ac2 = false;
-  for (rel::TupleId tds : {0u, 4u}) {
-    size_t s_both =
-        core::GeneratePrelimOs(d.db, gds, &backend, tds, 10, both).size();
-    size_t s_no1 =
-        core::GeneratePrelimOs(d.db, gds, &backend, tds, 10, no_ac1).size();
-    size_t s_no2 =
-        core::GeneratePrelimOs(d.db, gds, &backend, tds, 10, no_ac2).size();
-    size_t s_none =
-        core::GeneratePrelimOs(d.db, gds, &backend, tds, 10, none).size();
-    size_t s_complete =
-        core::GenerateCompleteOs(d.db, gds, &backend, tds).size();
-    EXPECT_LE(s_both, s_no2);
-    EXPECT_LE(s_both, s_no1);
-    EXPECT_EQ(s_none, s_complete);  // no conditions = Algorithm 5
-    EXPECT_LE(s_no1, s_complete);
-    EXPECT_LE(s_no2, s_complete);
+  for (core::OsBackend* backend :
+       std::initializer_list<core::OsBackend*>{&f.backend, &sql}) {
+    SCOPED_TRACE(backend->name());
+    for (rel::TupleId tds : {0u, 4u}) {
+      size_t s_both =
+          core::GeneratePrelimOs(d.db, gds, backend, tds, 10, both).size();
+      size_t s_no1 =
+          core::GeneratePrelimOs(d.db, gds, backend, tds, 10, no_ac1).size();
+      size_t s_no2 =
+          core::GeneratePrelimOs(d.db, gds, backend, tds, 10, no_ac2).size();
+      core::OsTree no_conditions =
+          core::GeneratePrelimOs(d.db, gds, backend, tds, 10, none);
+      core::OsTree complete =
+          core::GenerateCompleteOs(d.db, gds, backend, tds);
+      EXPECT_LE(s_both, s_no2);
+      EXPECT_LE(s_both, s_no1);
+      // No conditions = Algorithm 5, node for node.
+      EXPECT_TRUE(IdenticalTree(no_conditions, complete)) << "tds " << tds;
+      EXPECT_LE(s_no1, complete.size());
+      EXPECT_LE(s_no2, complete.size());
+    }
   }
 }
 

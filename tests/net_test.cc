@@ -126,7 +126,6 @@ search::SearchContext BuildDblpContext(const datasets::Dblp& d,
 serve::ServiceOptions SmallService() {
   serve::ServiceOptions o;
   o.num_threads = 3;
-  o.cache.num_shards = 2;
   return o;
 }
 
@@ -579,7 +578,6 @@ TEST(NetFairness, FirehoseCannotStarveTheInteractiveConnection) {
   ASSERT_FALSE(context.Query("faloutsos", warm).empty());
   serve::ServiceOptions so;
   so.num_threads = 1;  // serial computes make "how many ran first" exact
-  so.cache.num_shards = 2;
   serve::QueryService service(context, so);
   ServerOptions options;
   options.max_inflight_requests = 4;
@@ -663,7 +661,6 @@ TEST(NetOverload, TightDeadlinesShedWithoutComputeGenerousOnesSucceed) {
   auto clock = std::make_shared<serve::FakeClock>();
   serve::ServiceOptions so;
   so.num_threads = 1;
-  so.cache.num_shards = 2;
   so.cache.clock = clock;
   serve::QueryService service(context, so);
   Server server(&service);
@@ -767,7 +764,6 @@ TEST(NetServer, CloseWriteRacingInFlightMissesLosesNothing) {
   search::SearchContext context = BuildDblpContext(dblp.d, &gated);
   serve::ServiceOptions so;
   so.num_threads = 1;
-  so.cache.num_shards = 2;
   serve::QueryService service(context, so);
   ServerOptions options;
   options.max_inflight_requests = 2;  // most of the burst stays undispatched

@@ -4,6 +4,7 @@
 // accounting.
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -256,6 +257,39 @@ TEST(PrelimOs, BackendsAgreeOnPrelim) {
     OsTree b = GeneratePrelimOs(p.d.db, p.author_gds, &sql, 1, l);
     EXPECT_EQ(Signature(a), Signature(b)) << "l=" << l;
   }
+}
+
+// A G_DS built before the importance scores exists is never annotated: its
+// max = mmax = 0 would make AC1 skip every child, so Algorithm 4 must
+// refuse it rather than return a root-only OS.
+TEST(PrelimOs, UnannotatedGdsThrows) {
+  Dblp d = BuildDblp(TinyConfig());
+  gds::Gds unannotated = DblpAuthorGds(d);
+  ApplyDblpScores(&d, 1, 0.85);
+  ASSERT_FALSE(unannotated.annotated());
+  DataGraphBackend mem(d.db, d.links, d.data_graph);
+  DatabaseBackend sql(d.db, d.links, /*per_select_micros=*/0.0);
+  EXPECT_THROW(GeneratePrelimOs(d.db, unannotated, &mem, 0, 10),
+               std::logic_error);
+  EXPECT_THROW(GeneratePrelimOs(d.db, unannotated, &sql, 0, 10),
+               std::logic_error);
+  unannotated.AnnotateStatistics(d.db);
+  EXPECT_GT(GeneratePrelimOs(d.db, unannotated, &mem, 0, 10).size(), 1u);
+}
+
+// FetchTop stops at the first neighbor at or below the threshold, which is
+// only the TOP-l when the adjacency is importance-sorted.
+TEST(DataGraphBackendTop, UnsortedNeighborsThrow) {
+  Pipeline p(TinyConfig());
+  graph::DataGraph unsorted = graph::DataGraph::Build(p.d.db, p.d.links);
+  ASSERT_FALSE(unsorted.neighbors_sorted());
+  DataGraphBackend backend(p.d.db, p.d.links, unsorted);
+  std::vector<rel::TupleId> out;
+  EXPECT_THROW(backend.FetchTop(p.d.link_writes, rel::FkDirection::kForward,
+                                0, 3, 0.0, &out),
+               std::logic_error);
+  EXPECT_THROW(GeneratePrelimOs(p.d.db, p.author_gds, &backend, 0, 10),
+               std::logic_error);
 }
 
 }  // namespace

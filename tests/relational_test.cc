@@ -1,4 +1,7 @@
 // Unit tests for the embedded relational engine.
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "relational/database.h"
@@ -24,6 +27,18 @@ Database MakeAuthorPaperDb() {
   db.relation(paper).Append({Value{std::string("P3")}, Value{int64_t{0}}});
   db.BuildIndexes();
   return db;
+}
+
+// Without SortIndexesByImportance the postings stay in insertion order, so
+// the early exit would return P0 (5) as the top paper instead of P1 (9).
+TEST(Database, TopImportanceRequiresSortedIndexes) {
+  Database db = MakeAuthorPaperDb();
+  db.relation(0).SetImportance({1.0, 1.0});
+  db.relation(1).SetImportance({5.0, 9.0, 3.0, 7.0});
+  EXPECT_THROW(db.ChildrenTopImportance(0, 0, 1, 0.0), std::logic_error);
+  db.SortIndexesByImportance();
+  EXPECT_EQ(db.ChildrenTopImportance(0, 0, 1, 0.0),
+            std::vector<TupleId>{1u});
 }
 
 TEST(Value, TypeAndToString) {

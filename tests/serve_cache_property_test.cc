@@ -41,8 +41,8 @@ struct ModelOutcome {
   bool negative = false;  // value observable: results.empty()
 };
 
-/// The reference model: one shard, no locks, no futures — just the
-/// documented policy semantics, written linearly.
+/// The reference model: no locks, no futures — just the documented policy
+/// semantics, written linearly.
 class ModelCache {
  public:
   ModelCache(size_t max_entries, size_t max_bytes,
@@ -223,7 +223,6 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
   SCOPED_TRACE(std::string(config.name) + " seed=" + std::to_string(seed));
   auto clock = std::make_shared<FakeClock>();
   ResultCacheOptions options;
-  options.num_shards = 1;  // global LRU: the model is single-sharded
   options.max_entries = config.max_entries;
   options.max_bytes = config.max_bytes;
   options.policy = config.policy;

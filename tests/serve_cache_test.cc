@@ -39,17 +39,16 @@ CachedResult PositivePayload(size_t approx_bytes) {
   return r;
 }
 
-/// Single-shard options so LRU order is global and deterministic.
-ResultCacheOptions OneShard(size_t max_entries, size_t max_bytes) {
+/// Options with explicit entry and byte budgets.
+ResultCacheOptions Budgets(size_t max_entries, size_t max_bytes) {
   ResultCacheOptions o;
-  o.num_shards = 1;
   o.max_entries = max_entries;
   o.max_bytes = max_bytes;
   return o;
 }
 
 TEST(ResultCacheLru, RecencyOrderGovernsEviction) {
-  ResultCache cache(OneShard(/*max_entries=*/3, /*max_bytes=*/1 << 30));
+  ResultCache cache(Budgets(/*max_entries=*/3, /*max_bytes=*/1 << 30));
   auto put = [&](const std::string& key) {
     cache.GetOrCompute(key, [] { return Payload(1); });
   };
@@ -71,7 +70,7 @@ TEST(ResultCacheLru, RecencyOrderGovernsEviction) {
 }
 
 TEST(ResultCacheLru, HitRefreshesRecencyViaGetOrCompute) {
-  ResultCache cache(OneShard(3, 1 << 30));
+  ResultCache cache(Budgets(3, 1 << 30));
   for (const char* k : {"a", "b", "c"}) {
     cache.GetOrCompute(k, [] { return Payload(1); });
   }
@@ -88,7 +87,7 @@ TEST(ResultCacheLru, HitRefreshesRecencyViaGetOrCompute) {
 TEST(ResultCacheBudget, BytesEvictOldestUntilUnderCap) {
   // Entry weight = approx_bytes + internal key size; internal keys are the
   // 2-byte caller keys plus the 2-byte epoch prefix "0\x1d" here.
-  ResultCache cache(OneShard(/*max_entries=*/64, /*max_bytes=*/1000));
+  ResultCache cache(Budgets(/*max_entries=*/64, /*max_bytes=*/1000));
   cache.GetOrCompute("k1", [] { return Payload(396); });  // 400
   cache.GetOrCompute("k2", [] { return Payload(396); });  // 800
   EXPECT_EQ(cache.metrics().approx_bytes, 800u);
@@ -105,7 +104,7 @@ TEST(ResultCacheBudget, BytesEvictOldestUntilUnderCap) {
 }
 
 TEST(ResultCacheBudget, OversizedEntrySurvivesItsOwnInsertOnly) {
-  ResultCache cache(OneShard(64, 1000));
+  ResultCache cache(Budgets(64, 1000));
   cache.GetOrCompute("k1", [] { return Payload(398); });
   cache.GetOrCompute("xl", [] { return Payload(5000); });
   // The oversized entry evicted everything else but is itself kept (the
@@ -120,7 +119,7 @@ TEST(ResultCacheBudget, OversizedEntrySurvivesItsOwnInsertOnly) {
 }
 
 TEST(ResultCacheEpoch, BumpInvalidatesCommittedEntries) {
-  ResultCache cache(OneShard(64, 1 << 30));
+  ResultCache cache(Budgets(64, 1 << 30));
   ResultPtr v1 = cache.GetOrCompute("q", [] { return Payload(7); });
   EXPECT_NE(cache.Lookup("q"), nullptr);
 
@@ -136,7 +135,7 @@ TEST(ResultCacheEpoch, BumpInvalidatesCommittedEntries) {
 }
 
 TEST(ResultCacheEpoch, InFlightComputeAcrossBumpIsDiscardedNotServed) {
-  ResultCache cache(OneShard(64, 1 << 30));
+  ResultCache cache(Budgets(64, 1 << 30));
   // The epoch moves while the compute is in flight: the caller still gets
   // its freshly computed value, but nothing is published.
   ResultPtr v = cache.GetOrCompute("q", [&] {
@@ -152,7 +151,7 @@ TEST(ResultCacheEpoch, InFlightComputeAcrossBumpIsDiscardedNotServed) {
 }
 
 TEST(ResultCacheErrors, ComputeExceptionPropagatesAndCachesNothing) {
-  ResultCache cache(OneShard(64, 1 << 30));
+  ResultCache cache(Budgets(64, 1 << 30));
   EXPECT_THROW(cache.GetOrCompute(
                    "q",
                    []() -> CachedResult {
@@ -165,29 +164,30 @@ TEST(ResultCacheErrors, ComputeExceptionPropagatesAndCachesNothing) {
   EXPECT_NE(v, nullptr);
 }
 
-TEST(ResultCacheSharding, KeysSpreadAndCapsHoldAcrossShards) {
-  ResultCacheOptions o;
-  o.num_shards = 4;
-  o.max_entries = 16;  // 4 per shard
-  o.max_bytes = 1 << 30;
-  ResultCache cache(o);
+// The budgets bound the whole cache: 200 distinct keys through a 16-entry
+// cache leave exactly the 16 most recent resident, and every other miss
+// was an eviction.
+TEST(ResultCacheLru, WholeCacheCapHoldsOverManyKeys) {
+  ResultCache cache(Budgets(/*max_entries=*/16, /*max_bytes=*/1 << 30));
   for (int i = 0; i < 200; ++i) {
     cache.GetOrCompute("key-" + std::to_string(i),
                        [] { return Payload(1); });
   }
   CacheMetrics m = cache.metrics();
-  EXPECT_LE(m.entries, 16u);
-  EXPECT_GT(m.entries, 4u);  // more than one shard got traffic
+  EXPECT_EQ(m.entries, 16u);
   EXPECT_EQ(m.misses, 200u);
-  EXPECT_EQ(m.evictions, 200u - m.entries);
+  EXPECT_EQ(m.evictions, m.misses - m.entries);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(cache.Lookup("key-" + std::to_string(i)) != nullptr, i >= 184)
+        << "key-" << i;
+  }
 }
 
-/// Single-shard options with a policy and an injected FakeClock.
-ResultCacheOptions PolicyShard(CachePolicyOptions policy,
-                               std::shared_ptr<FakeClock> clock,
-                               size_t max_entries = 64) {
+/// Options with a policy and an injected FakeClock.
+ResultCacheOptions WithPolicy(CachePolicyOptions policy,
+                              std::shared_ptr<FakeClock> clock,
+                              size_t max_entries = 64) {
   ResultCacheOptions o;
-  o.num_shards = 1;
   o.max_entries = max_entries;
   o.max_bytes = 1 << 30;
   o.policy = policy;
@@ -199,7 +199,7 @@ TEST(ResultCacheTtl, PositiveEntryExpiresLazilyAtDeadline) {
   auto clock = std::make_shared<FakeClock>();
   CachePolicyOptions policy;
   policy.ttl_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("q", [] { return PositivePayload(7); });
   clock->AdvanceMicros(999);  // alive strictly less than the TTL
@@ -225,7 +225,7 @@ TEST(ResultCacheTtl, NegativeEntriesUseTheShorterNegativeTtl) {
   CachePolicyOptions policy;
   policy.ttl_micros = 1000;
   policy.negative_ttl_micros = 100;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("pos", [] { return PositivePayload(5); });
   cache.GetOrCompute("neg", [] { return Payload(5); });  // OK-empty
@@ -244,7 +244,7 @@ TEST(ResultCacheTtl, NegativeEntriesUseTheShorterNegativeTtl) {
 
 TEST(ResultCacheTtl, ZeroTtlMeansEntriesNeverExpire) {
   auto clock = std::make_shared<FakeClock>();
-  ResultCache cache(PolicyShard(CachePolicyOptions{}, clock));
+  ResultCache cache(WithPolicy(CachePolicyOptions{}, clock));
   cache.GetOrCompute("q", [] { return PositivePayload(3); });
   clock->AdvanceMicros(1ull << 40);  // ~2 weeks of fake time
   EXPECT_NE(cache.Lookup("q"), nullptr);
@@ -256,7 +256,7 @@ TEST(ResultCacheTtl, SweepErasesExpiredAndAttributesByKind) {
   CachePolicyOptions policy;
   policy.ttl_micros = 1000;
   policy.negative_ttl_micros = 100;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("pos1", [] { return PositivePayload(5); });
   cache.GetOrCompute("pos2", [] { return PositivePayload(5); });
@@ -278,7 +278,7 @@ TEST(ResultCacheAdmission, SecondSightingWithinWindowAdmits) {
   CachePolicyOptions policy;
   policy.admission_enabled = true;
   policy.admission_window_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   // First sighting: computed, returned, NOT cached.
   ResultPtr first = cache.GetOrCompute("q", [] { return PositivePayload(9); });
@@ -310,7 +310,7 @@ TEST(ResultCacheAdmission, SightingOutsideWindowRefreshesAndRejectsAgain) {
   CachePolicyOptions policy;
   policy.admission_enabled = true;
   policy.admission_window_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("q", [] { return PositivePayload(1); });
   clock->AdvanceMicros(1000);  // the sighting just aged out
@@ -332,7 +332,7 @@ TEST(ResultCacheAdmission, ZeroWindowMeansSightingsNeverAgeOut) {
   CachePolicyOptions policy;
   policy.admission_enabled = true;
   policy.admission_window_micros = 0;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("q", [] { return PositivePayload(1); });
   clock->AdvanceMicros(1ull << 40);  // ~2 weeks later...
@@ -348,7 +348,7 @@ TEST(ResultCacheAdmission, ZeroWindowMeansSightingsNeverAgeOut) {
 
 TEST(ResultCacheAdmission, BypassKnobAdmitsEverything) {
   auto clock = std::make_shared<FakeClock>();
-  ResultCache cache(PolicyShard(CachePolicyOptions{}, clock));  // disabled
+  ResultCache cache(WithPolicy(CachePolicyOptions{}, clock));  // disabled
   cache.GetOrCompute("q", [] { return PositivePayload(1); });
   CacheMetrics m = cache.metrics();
   EXPECT_EQ(m.admission_rejects, 0u);
@@ -362,7 +362,7 @@ TEST(ResultCacheAdmission, SightingCapEvictsOldestRecorded) {
   policy.admission_enabled = true;
   policy.admission_window_micros = 1'000'000;
   policy.admission_max_tracked = 2;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("a", [] { return PositivePayload(1); });
   clock->AdvanceMicros(1);
@@ -386,7 +386,7 @@ TEST(ResultCacheAdmission, SweepPrunesAgedOutSightings) {
   CachePolicyOptions policy;
   policy.admission_enabled = true;
   policy.admission_window_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("a", [] { return PositivePayload(1); });
   clock->AdvanceMicros(600);
@@ -402,7 +402,7 @@ TEST(ResultCacheAdmission, ExpiredHotKeyReadmitsOnFirstRecompute) {
   policy.admission_enabled = true;
   policy.admission_window_micros = 10'000;
   policy.ttl_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   // Two sightings admit the key; then its TTL elapses.
   cache.GetOrCompute("q", [] { return PositivePayload(3); });
@@ -437,7 +437,7 @@ TEST(ResultCacheEpoch, BumpInvalidatesRegardlessOfRemainingTtl) {
   auto clock = std::make_shared<FakeClock>();
   CachePolicyOptions policy;
   policy.ttl_micros = 1'000'000;  // a whole fake second of validity
-  ResultCache cache(PolicyShard(policy, clock));
+  ResultCache cache(WithPolicy(policy, clock));
 
   cache.GetOrCompute("q", [] { return PositivePayload(7); });
   EXPECT_NE(cache.Lookup("q"), nullptr);
@@ -494,7 +494,6 @@ TEST(ResultCacheStress, StampedeCoalescesToOneCompute) {
 // caps enforced concurrently.
 TEST(ResultCacheStress, ConcurrentMixedKeys) {
   ResultCacheOptions o;
-  o.num_shards = 4;
   o.max_entries = 64;
   o.max_bytes = 1 << 30;
   ResultCache cache(o);

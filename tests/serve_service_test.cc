@@ -44,7 +44,6 @@ search::SearchContext BuildDblpContext(const datasets::Dblp& d,
 ServiceOptions SmallService() {
   ServiceOptions o;
   o.num_threads = 3;
-  o.cache.num_shards = 2;
   return o;
 }
 
@@ -956,7 +955,6 @@ TEST(QueryServiceOverload, WatermarkShedsLowestBudgetFirst) {
   auto clock = std::make_shared<FakeClock>();
   ServiceOptions so;
   so.num_threads = 1;  // one worker: everything behind the gate queues
-  so.cache.num_shards = 2;
   so.cache.clock = clock;
   so.overload.max_pending_misses = 2;
   QueryService service(ctx, so);
@@ -1016,7 +1014,6 @@ TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
   auto clock = std::make_shared<FakeClock>();
   ServiceOptions so;
   so.num_threads = 1;
-  so.cache.num_shards = 2;
   so.cache.clock = clock;
   so.overload.max_pending_misses = 1;
   QueryService service(ctx, so);
@@ -1063,7 +1060,6 @@ TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   auto clock = std::make_shared<FakeClock>();
   ServiceOptions so;
   so.num_threads = 1;
-  so.cache.num_shards = 2;
   so.cache.clock = clock;
   QueryService service(ctx, so);
   api::QueryOptions options;
@@ -1172,8 +1168,7 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   search::SearchContext ctx = BuildDblpContext(f.d, &backend);
   ServiceOptions so;
   so.num_threads = 4;
-  so.cache.num_shards = 4;
-  so.cache.max_entries = 16;  // small: force concurrent eviction too
+  so.cache.max_entries = 4;  // fewer than the 8 queries: evicts too
   QueryService service(ctx, so);
 
   api::QueryOptions options;
