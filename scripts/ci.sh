@@ -13,8 +13,10 @@
 # nonzero if the >=10x hot-hit speedup gate fails or the long-tail
 # admission gate fails), diffs that run against the checked-in baseline as
 # a NON-FATAL report (scripts/bench_diff.py — tiny-vs-reference numbers
-# differ by design; the report proves the diff plumbing), and smokes the
-# api wire format: `osum_cli query --wire json` must produce a document
+# differ by design; the report proves the diff plumbing), gates the
+# Figure 10(f) shape (bench_backend_ratio --tiny exits nonzero unless the
+# database back end is slower than the data graph at every OS size and at
+# least 10x slower on the largest), and smokes the api wire format: `osum_cli query --wire json` must produce a document
 # Python's json module parses. The `quickstart` and `dblp_search` examples
 # must each exit 0 and print a non-empty ranked result. Finally the serving
 # benchmark (perfbench/run.py) builds from this checkout and runs each of
@@ -23,13 +25,14 @@
 # break the benchmark unnoticed.
 #
 # Dedicated full-size perf lane (opt-in): OSUM_PERF_LANE=1 scripts/ci.sh
-# builds Release only, runs bench_cache at FULL size and gates hard with
-# scripts/bench_diff.py --strict against the checked-in baseline — then
-# exits without rerunning the test lanes (the default invocation owns
-# those; CI wires the perf lane as a separate job). Only the
-# deterministic rows (hit rates, evictions, admission rejects — the
-# seeded single-threaded long-tail replay makes them machine-independent)
-# can fail the gate, and they gate near-exactly (--gate-metrics with
+# builds Release only, runs bench_cache, bench_net and bench_micro at FULL
+# size and gates each hard with scripts/bench_diff.py --strict against its
+# checked-in baseline — then exits without rerunning the test lanes (the
+# default invocation owns those; CI wires the perf lane as a separate
+# job). Only the deterministic rows can fail the gate (bench_cache hit
+# rates, evictions and admission rejects; bench_net request/response
+# counts; bench_micro DP and partials-memo counters — all seeded and
+# machine-independent), and they gate near-exactly (--gate-metrics with
 # --gate-tolerance 0.001); timing rows from a different-machine baseline
 # stay a visible drift report, never a spurious red. A gated row going
 # missing also fails (the gate cannot be silently emptied).
@@ -142,6 +145,15 @@ net_smoke_json="build-release/bench_net_smoke.json"
 build-release/bench/bench_net --tiny --json "${net_smoke_json}"
 python3 -m json.tool "${net_smoke_json}" > /dev/null
 echo "net smoke ok: ${net_smoke_json}"
+
+# Figure 10(f) shape gate: bench_backend_ratio exits nonzero unless the
+# database back end costs more than the data graph at every OS size and
+# at least 10x more on the largest one; its JSON must parse.
+echo "==== backend ratio gate (bench_backend_ratio --tiny --json) ===="
+ratio_json="build-release/bench_backend_ratio_smoke.json"
+build-release/bench/bench_backend_ratio --tiny --json "${ratio_json}"
+python3 -m json.tool "${ratio_json}" > /dev/null
+echo "backend ratio gate ok: ${ratio_json}"
 
 # Non-fatal perf-drift report: --tiny numbers are not comparable to the
 # reference-container baseline, but the diff proves rows match up and the

@@ -38,6 +38,12 @@ Status ValidateOptions(const QueryOptions& options) {
         "l=" + std::to_string(options.l) + " exceeds the synopsis cap of " +
         std::to_string(kMaxSynopsisL) + " (use l=0 for the complete OS)");
   }
+  // The exhaustive oracle has no operation budget: one request on a large
+  // OS would pin a worker indefinitely. It stays a direct-call test oracle.
+  if (options.algorithm == core::SizeLAlgorithm::kBruteForce) {
+    return Status::InvalidArgument(
+        "the brute_force size-l algorithm is a test oracle and is not served");
+  }
   return Status::Ok();
 }
 

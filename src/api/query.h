@@ -106,7 +106,9 @@ inline constexpr size_t kMaxSynopsisL = 65536;
 ///
 /// Validation (`Validate` / `ValidatedKey`) is where the old silent
 /// failure modes become typed errors: an empty keyword *set* (nothing
-/// tokenizes) is kInvalidArgument, not an empty answer.
+/// tokenizes) is kInvalidArgument, not an empty answer. So is
+/// SizeLAlgorithm::kBruteForce: the exhaustive oracle has no operation
+/// budget and is only for direct calls (core::RunSizeL) on tiny trees.
 class QueryRequest {
  public:
   QueryRequest() = default;

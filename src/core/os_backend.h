@@ -32,15 +32,18 @@ class OsBackend {
 
   virtual const char* name() const = 0;
 
-  /// Full join: all neighbor tuples (Algorithm 5 line 6).
+  /// Full join: all neighbor tuples (Algorithm 5 line 6), in
+  /// rel::ImportanceOrder once importance is annotated and the access
+  /// paths sorted.
   virtual void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
                      rel::TupleId parent_tuple,
                      std::vector<rel::TupleId>* out) = 0;
 
-  /// Bounded join for Avoidance Condition 2 (Algorithm 4 line 10):
-  /// up to `limit` neighbor tuples with global importance strictly greater
-  /// than `min_importance`, in descending importance order. Counts one
-  /// logical SELECT even when it returns nothing.
+  /// Bounded join for Avoidance Condition 2 (Algorithm 4 line 10): the
+  /// prefix of Fetch's importance-ordered list (rel::ImportanceOrder)
+  /// filtered to global importance strictly greater than `min_importance`
+  /// and cut to `limit` tuples. Counts one logical SELECT even when it
+  /// returns nothing.
   virtual void FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
                         rel::TupleId parent_tuple, size_t limit,
                         double min_importance,
@@ -100,6 +103,12 @@ class DatabaseBackend : public OsBackend {
 
  private:
   void SimulateLatency();
+  /// The join itself, shared by Fetch and FetchTop: forward FK through the
+  /// FK index, backward FK through the parent lookup, junction links as one
+  /// junction-target join sorted into rel::ImportanceOrder once the target
+  /// is annotated. Books only the database's own access-path I/O.
+  void Join(const graph::LinkType& lt, rel::FkDirection dir,
+            rel::TupleId parent_tuple, std::vector<rel::TupleId>* out) const;
 
   const rel::Database& db_;
   const graph::LinkSchema& links_;

@@ -1,5 +1,9 @@
 // OS generation: Algorithm 5 (complete OS) and Algorithm 4 (prelim-l OS
-// with the two avoidance conditions of Section 5.3).
+// with the two avoidance conditions of Section 5.3). Both are one
+// breadth-first walk of the G_DS from t_DS: Algorithm 4 is Algorithm 5
+// plus the top-l cutoff, which prunes with AC1 (skip fruitless sub-trees)
+// and AC2 (TOP-l limited fetches). With l = 0 there is no cutoff, so
+// GeneratePrelimOs(..., 0) is GenerateCompleteOs node for node.
 #ifndef OSUM_CORE_OS_GENERATOR_H_
 #define OSUM_CORE_OS_GENERATOR_H_
 
@@ -45,8 +49,10 @@ OsTree GenerateCompleteOs(const rel::Database& db, const gds::Gds& gds,
 /// Algorithm 4: generates a prelim-l OS — a partial OS guaranteed to
 /// contain the l tuples of the complete OS with the largest local
 /// importance (Definition 2) — using Avoidance Conditions 1 and 2.
-/// Requires Gds::AnnotateStatistics (max/mmax) and importance-sorted access
-/// paths in the back end; throws std::logic_error when either is missing.
+/// For l > 0, requires Gds::AnnotateStatistics (max/mmax) and
+/// importance-sorted access paths in the back end; throws std::logic_error
+/// when either is missing. l = 0 means no cutoff: the complete OS, with
+/// neither requirement (every join counts as a full fetch in `stats`).
 OsTree GeneratePrelimOs(const rel::Database& db, const gds::Gds& gds,
                         OsBackend* backend, rel::TupleId tds, size_t l,
                         const OsGenOptions& options = {},

@@ -109,11 +109,12 @@ void DataGraph::SortNeighborsByImportance(const rel::Database& db) {
     for (size_t row = 0; row < rows; ++row) {
       auto begin = c.targets.begin() + c.offsets[row];
       auto end = c.targets.begin() + c.offsets[row + 1];
+      if (begin == end) continue;
+      // One link direction reaches one relation, so the row sorts in the
+      // back ends' shared tuple order.
+      rel::ImportanceOrder order{db.relation(RelationOf(*begin))};
       std::sort(begin, end, [&](NodeId x, NodeId y) {
-        double ix = Importance(db, x);
-        double iy = Importance(db, y);
-        if (ix != iy) return ix > iy;
-        return x < y;
+        return order(TupleOf(x), TupleOf(y));
       });
     }
   };

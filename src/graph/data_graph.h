@@ -57,13 +57,8 @@ class DataGraph {
     return Neighbors(n, lt, dir).size();
   }
 
-  /// Global importance of a node (reads the relation annotation).
-  double Importance(const rel::Database& db, NodeId n) const {
-    return db.relation(RelationOf(n)).importance(TupleOf(n));
-  }
-
-  /// Re-orders every adjacency list by descending neighbor importance
-  /// (deterministic tie-break on node id). Needed by the data-graph back
+  /// Re-orders every adjacency list into rel::ImportanceOrder (descending
+  /// neighbor importance, ties by tuple id). Needed by the data-graph back
   /// end of Avoidance Condition 2; call after importance annotation.
   void SortNeighborsByImportance(const rel::Database& db);
   bool neighbors_sorted() const { return sorted_; }

@@ -82,13 +82,7 @@ void Database::SortIndexesByImportance() {
     const Relation& child = *relations_[fk.child];
     assert(child.has_importance());
     for (auto& posting : indexes_[fk.id].postings) {
-      std::sort(posting.begin(), posting.end(),
-                [&child](TupleId a, TupleId b) {
-                  double ia = child.importance(a);
-                  double ib = child.importance(b);
-                  if (ia != ib) return ia > ib;
-                  return a < b;  // deterministic tie-break
-                });
+      std::sort(posting.begin(), posting.end(), ImportanceOrder{child});
     }
   }
   indexes_sorted_ = true;
@@ -130,14 +124,10 @@ std::vector<TupleId> Database::ChildrenTopImportance(
     throw std::logic_error(
         "ChildrenTopImportance requires SortIndexesByImportance()");
   }
-  const Relation& child = *relations_[fks_[fk].child];
   const auto& posting = indexes_[fk].postings[parent_tuple];
-  std::vector<TupleId> out;
-  for (TupleId t : posting) {
-    if (out.size() >= limit) break;
-    if (child.importance(t) <= min_importance) break;  // sorted descending
-    out.push_back(t);
-  }
+  size_t n = TopImportancePrefix(*relations_[fks_[fk].child], posting, limit,
+                                 min_importance);
+  std::vector<TupleId> out(posting.begin(), posting.begin() + n);
   // Costs a SELECT even when the result is empty (Section 5.3 caveat).
   io_stats_.CountSelect(out.size(), 1);
   return out;

@@ -3,7 +3,9 @@
 #ifndef OSUM_RELATIONAL_RELATION_H_
 #define OSUM_RELATIONAL_RELATION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -89,6 +91,35 @@ class Relation {
   std::vector<double> importance_;
   double max_importance_ = 0.0;
 };
+
+/// The one importance order of every sorted access path (FK index
+/// postings, data-graph adjacency, junction joins): descending Im(t), ties
+/// broken by ascending tuple id so the order is deterministic.
+struct ImportanceOrder {
+  const Relation& rel;
+  bool operator()(TupleId a, TupleId b) const {
+    double ia = rel.importance(a);
+    double ib = rel.importance(b);
+    if (ia != ib) return ia > ib;
+    return a < b;
+  }
+};
+
+/// The TOP-l step of Algorithm 4 line 10 over a join result already in
+/// ImportanceOrder: the length of its longest prefix of at most `limit`
+/// tuples whose Im(t) exceeds `min_importance`. `tuple_of` maps a list
+/// element to its tuple id (data-graph adjacency holds node ids).
+template <typename List, typename TupleOf = std::identity>
+size_t TopImportancePrefix(const Relation& rel, const List& ordered,
+                           size_t limit, double min_importance,
+                           TupleOf tuple_of = {}) {
+  size_t n = 0;
+  for (const auto& x : ordered) {
+    if (n >= limit || rel.importance(tuple_of(x)) <= min_importance) break;
+    ++n;
+  }
+  return n;
+}
 
 }  // namespace osum::rel
 

@@ -78,6 +78,33 @@ TEST(PrelimToggles, DisablingConditionsNeverShrinksTheTree) {
   }
 }
 
+// l = 0 means "no cutoff": Algorithm 4 without a top-l is Algorithm 5, so
+// it needs no G_DS annotation and returns the complete OS node for node.
+TEST(PrelimOs, ZeroLIsTheCompleteOs) {
+  datasets::Dblp d = datasets::BuildDblp(SmallDblpConfig());
+  gds::Gds unannotated = datasets::DblpAuthorGds(d);  // built before scores
+  datasets::ApplyDblpScores(&d, 1, 0.85);
+  gds::Gds annotated = datasets::DblpAuthorGds(d);
+  ASSERT_FALSE(unannotated.annotated());
+  core::DataGraphBackend mem(d.db, d.links, d.data_graph);
+  core::DatabaseBackend sql(d.db, d.links, /*per_select_micros=*/0.0);
+  for (core::OsBackend* backend :
+       std::initializer_list<core::OsBackend*>{&mem, &sql}) {
+    SCOPED_TRACE(backend->name());
+    for (rel::TupleId tds : {0u, 4u}) {
+      core::OsTree complete =
+          core::GenerateCompleteOs(d.db, annotated, backend, tds);
+      EXPECT_TRUE(IdenticalTree(
+          core::GeneratePrelimOs(d.db, annotated, backend, tds, 0), complete))
+          << "tds " << tds;
+      EXPECT_TRUE(IdenticalTree(
+          core::GeneratePrelimOs(d.db, unannotated, backend, tds, 0),
+          complete))
+          << "tds " << tds;
+    }
+  }
+}
+
 TEST(PrelimToggles, AllVariantsContainTopL) {
   ScoredDblp f(SmallDblpConfig());
   datasets::Dblp& d = f.d;

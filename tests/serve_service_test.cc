@@ -565,6 +565,27 @@ TEST(QueryServiceApi, InvalidAndFailingRequestsBecomeStatuses) {
   EXPECT_TRUE(none.result_list().empty());
 }
 
+// The exhaustive oracle has no operation budget, so one request could pin
+// a worker: it is rejected at validation, before any back-end SELECT.
+TEST(QueryRequestValidation, BruteForceIsNotServed) {
+  api::QueryRequest brute = api::QueryRequest("databases").WithAlgorithm(
+      core::SizeLAlgorithm::kBruteForce);
+  EXPECT_EQ(brute.Validate().code(), api::StatusCode::kInvalidArgument);
+  EXPECT_EQ(brute.ValidatedKey().status().code(),
+            api::StatusCode::kInvalidArgument);
+
+  ScoredDblp f(SmallDblpConfig());
+  search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
+  QueryService service(ctx, SmallService());
+  f.backend.ResetStats();
+  api::QueryResponse response = service.Execute(brute);
+  EXPECT_EQ(response.status.code(), api::StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.backend.stats().select_calls, 0u);
+  EXPECT_EQ(service.metrics().queries, 0u);
+  // The same request with a served algorithm validates.
+  EXPECT_TRUE(brute.WithAlgorithm(core::SizeLAlgorithm::kDp).Validate().ok());
+}
+
 // The batch acceptance contract: SubmitBatch returns while its misses are
 // still computing — the submitting thread never blocks. The hit and the
 // invalid request are answered before the call returns; the gated miss is
