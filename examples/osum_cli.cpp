@@ -46,7 +46,9 @@
 //
 // Example:
 //   ./osum_cli "build dblp; serve faloutsos 10; serve faloutsos 10; metrics"
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -181,18 +183,34 @@ bool RequireDb(const Session& s) {
   return true;
 }
 
-// Splits trailing integer off a keyword list ("faloutsos 10" -> l=10).
+bool IsDigits(const std::string& s) {
+  return !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
+}
+
+// Parses an all-digit string; nullopt when it is not one or does not fit
+// in 64 bits (never throws, unlike std::stoull).
+std::optional<uint64_t> ParseUnsigned(const std::string& s) {
+  if (!IsDigits(s)) return std::nullopt;
+  uint64_t value = 0;
+  if (std::from_chars(s.data(), s.data() + s.size(), value).ec !=
+      std::errc()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Splits trailing integer off a keyword list ("faloutsos 10" -> l=10). A
+// trailing number too large to parse yields empty keywords, so the caller
+// prints its usage line.
 std::pair<std::string, std::optional<size_t>> SplitTrailingNumber(
     const std::vector<std::string>& args, size_t from) {
   std::vector<std::string> words(args.begin() + from, args.end());
   std::optional<size_t> number;
-  if (!words.empty()) {
-    const std::string& last = words.back();
-    if (!last.empty() &&
-        last.find_first_not_of("0123456789") == std::string::npos) {
-      number = static_cast<size_t>(std::stoull(last));
-      words.pop_back();
-    }
+  if (!words.empty() && IsDigits(words.back())) {
+    std::optional<uint64_t> parsed = ParseUnsigned(words.back());
+    if (!parsed) return {"", std::nullopt};
+    number = static_cast<size_t>(*parsed);
+    words.pop_back();
   }
   return {util::Join(words, " "), number};
 }
@@ -441,13 +459,12 @@ void RunCommand(Session& session, const std::string& line) {
     }
     net::ServerOptions options;
     if (args.size() > 1) {
-      const std::string& p = args[1];
-      if (p.find_first_not_of("0123456789") != std::string::npos ||
-          p.size() > 5 || std::stoul(p) > 65535) {
+      std::optional<uint64_t> port = ParseUnsigned(args[1]);
+      if (!port || *port > 65535) {
         std::puts("usage: serve-tcp [port|stop]");
         return;
       }
-      options.port = static_cast<uint16_t>(std::stoul(p));
+      options.port = static_cast<uint16_t>(*port);
     }
     auto server =
         std::make_unique<net::Server>(&session.Service(), options);
@@ -471,13 +488,12 @@ void RunCommand(Session& session, const std::string& line) {
     std::vector<std::string> rest = {args[0]};
     for (size_t i = 1; i < args.size(); ++i) {
       if (args[i].rfind("deadline=", 0) == 0) {
-        std::string value = args[i].substr(9);
-        if (value.empty() ||
-            value.find_first_not_of("0123456789") != std::string::npos) {
+        std::optional<uint64_t> value = ParseUnsigned(args[i].substr(9));
+        if (!value) {
           std::puts("usage: connect [deadline=<us>] <keywords...> [l]");
           return;
         }
-        deadline_micros = std::stoull(value);
+        deadline_micros = *value;
         continue;
       }
       rest.push_back(args[i]);

@@ -2,10 +2,11 @@
 # Tier-1 verification in the three shipping configurations:
 #   1. Release            — the configuration benchmarks are run in
 #   2. Debug + ASan/UBSan — catches what optimized builds hide
-#   3. Debug + TSan       — proves the concurrent query path (ExecuteBatch
-#      over a shared SearchContext), the serving layer (QueryService +
-#      ResultCache) and the TCP front end (net::Server event loop
-#      vs pool workers) race on nothing; runs the search-, serve- and
+#   3. Debug + TSan       — proves the primitives (util::ThreadPool, the
+#      annotated Mutex/CondVar), the concurrent query path (ExecuteBatch
+#      over a shared SearchContext), the serving layer (QueryService::Submit
+#      + ResultCache) and the TCP front end (net::Server event loop vs pool
+#      workers) race on nothing; runs the util-, search-, serve- and
 #      net-labeled suites, which include the concurrency/stampede stress
 #      aggregates (labeled search;slow / serve;slow).
 # The release lane also smokes the bench `--json` output mode (bench_cache
@@ -17,7 +18,8 @@
 # Figure 10(f) shape (bench_backend_ratio --tiny exits nonzero unless the
 # database back end is slower than the data graph at every OS size and at
 # least 10x slower on the largest), and smokes the api wire format: `osum_cli query --wire json` must produce a document
-# Python's json module parses. The `quickstart` and `dblp_search` examples
+# Python's json module parses, and an out-of-range number on the CLI must
+# print a usage line and exit 0. The `quickstart` and `dblp_search` examples
 # must each exit 0 and print a non-empty ranked result. Finally the serving
 # benchmark (perfbench/run.py) builds from this checkout and runs each of
 # its three workloads for 2 s, plus one traced run; every run's result line
@@ -180,6 +182,16 @@ print(f"wire smoke ok: {len(doc['results'])} result(s), "
       f"status {doc['status']['code']}")
 PY
 
+# CLI number smoke: a trailing number past 64 bits is rejected with the
+# usage line, not an uncaught std::out_of_range (set -e fails the lane on
+# the abort, grep on a missing usage line).
+echo "==== cli number smoke (osum_cli query <kw> <huge l>) ===="
+build-release/examples/osum_cli \
+    "build dblp; query faloutsos 99999999999999999999999" \
+    > build-release/cli_number_smoke.out
+grep -q '^usage: query ' build-release/cli_number_smoke.out
+echo "cli number smoke ok"
+
 # Examples smoke: each example builds its own SearchContext and prints
 # ranked results ("--- |OS|=..." in quickstart, "#1  [importance ..." in
 # dblp_search); set -e fails the lane on a nonzero exit, grep on an empty
@@ -215,7 +227,7 @@ perfbench_smoke dblp_titles_db 1
 run_config build-asan -- -DCMAKE_BUILD_TYPE=Debug -DOSUM_SANITIZE=address
 # Benches and examples are never executed under TSan; skip their
 # instrumented compile.
-run_config build-tsan -L 'search|serve|net' -- \
+run_config build-tsan -L 'util|search|serve|net' -- \
            -DCMAKE_BUILD_TYPE=Debug -DOSUM_SANITIZE=thread \
            -DOSUM_BUILD_BENCHMARKS=OFF -DOSUM_BUILD_EXAMPLES=OFF
 echo "==== ci.sh: all configurations green ===="

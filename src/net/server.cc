@@ -325,23 +325,24 @@ void Server::DispatchFrame(Connection* conn, const std::string& payload) {
                                                     api::QueryStats()))));
     return;
   }
-  // The deadline becomes absolute here, at dispatch: time a request spent
-  // waiting for its round-robin turn is already gone from its budget.
+  // The deadline becomes absolute here, at dispatch, on the service
+  // clock: the wait for this round-robin turn is not charged to the
+  // budget, but time queued behind the pool is. A budget too large to add
+  // saturates rather than wrapping into the past.
   uint64_t deadline = 0;
-  if (decoded->deadline_micros() != 0) {
-    deadline = service_->clock()->NowMicros() + decoded->deadline_micros();
+  if (const uint64_t budget = decoded->deadline_micros(); budget != 0) {
+    const uint64_t now = service_->clock()->NowMicros();
+    deadline = budget > UINT64_MAX - now ? UINT64_MAX : now + budget;
   }
   ++inflight_requests_;
   const uint64_t id = conn->id;
-  std::vector<api::QueryRequest> batch;
-  batch.push_back(*std::move(decoded));
   // Hits answer inline on this (loop) thread, misses on the pool; every
   // answer funnels through the mailbox back to the loop, which alone
   // touches the connection.
   std::shared_ptr<Mailbox> mailbox = mailbox_;
-  service_->SubmitBatch(
-      std::move(batch), {deadline},
-      [this, id, seq, mailbox](size_t, api::QueryResponse response) {
+  service_->Submit(
+      *std::move(decoded), deadline,
+      [this, id, seq, mailbox](api::QueryResponse response) {
         if (response.status.code() == api::StatusCode::kDeadlineExceeded) {
           stats_.responses_deadline_exceeded.fetch_add(
               1, std::memory_order_relaxed);

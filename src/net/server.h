@@ -30,8 +30,10 @@
 // sender) while an interactive connection's single request goes straight
 // through — one connection cannot monopolize the pool. Deadlines are
 // stamped at dispatch (request.deadline_micros relative to the service
-// clock), so time spent queued in the front end counts against the
-// budget and expired work is shed (kDeadlineExceeded) without compute.
+// clock, saturating at UINT64_MAX): a request's wait in its reassembler
+// for its round-robin turn is not charged to the budget, time queued
+// behind the pool is, and expired work is shed (kDeadlineExceeded)
+// without compute.
 //
 // Shutdown. Graceful drain, the same pin-counted idea as
 // QueryService::RebindContext: stop accepting, stop reading, then wait
@@ -209,8 +211,8 @@ class Server {
   void SchedulePump() REQUIRES(loop_role_);
   /// Decodes and dispatches one frame payload for `conn`: malformed
   /// payloads are answered in-band immediately; valid requests get their
-  /// deadline stamped against the service clock and enter the service as
-  /// a single-request batch, counting against the inflight window.
+  /// deadline stamped against the service clock and enter the service
+  /// through QueryService::Submit, counting against the inflight window.
   void DispatchFrame(Connection* conn, const std::string& payload)
       REQUIRES(loop_role_);
   void OnResponseReady(uint64_t id, uint64_t seq, std::string framed)

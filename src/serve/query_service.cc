@@ -10,6 +10,9 @@
 namespace osum::serve {
 namespace {
 
+/// Per-outcome latency reservoir size (most recent samples kept).
+constexpr size_t kLatencyWindow = 4096;
+
 /// The zero-copy bridge from the cache's value type to the response's:
 /// shares ownership of the CachedResult while exposing only its immutable
 /// result list.
@@ -19,14 +22,13 @@ api::SharedResults AliasResults(const ResultPtr& cached) {
 
 }  // namespace
 
-void QueryService::LatencyRing::Add(double v, size_t window) {
-  if (window == 0) return;
-  if (samples.size() < window) {
+void QueryService::LatencyRing::Add(double v) {
+  if (samples.size() < kLatencyWindow) {
     samples.push_back(v);
   } else {
     samples[next] = v;
   }
-  next = (next + 1) % window;
+  next = (next + 1) % kLatencyWindow;
 }
 
 util::Summary QueryService::LatencyRing::Snapshot() const {
@@ -123,11 +125,10 @@ void QueryService::AbandonMiss(const std::shared_ptr<MissTicket>& ticket) {
   --pending_misses_;
 }
 
-api::QueryResponse QueryService::ShedResponse(const char* why) {
+api::QueryResponse QueryService::Refuse(api::Status status) {
   api::QueryStats stats;
   stats.epoch = cache_.epoch();
-  return api::QueryResponse::Failure(api::Status::DeadlineExceeded(why),
-                                     stats);
+  return api::QueryResponse::Failure(std::move(status), stats);
 }
 
 api::QueryResponse QueryService::ExecuteWithKey(
@@ -172,147 +173,82 @@ api::QueryResponse QueryService::ExecuteWithKey(
 
 api::QueryResponse QueryService::Execute(const api::QueryRequest& request) {
   api::StatusOr<std::string> key = request.ValidatedKey();
-  if (!key.ok()) {
-    api::QueryStats stats;
-    stats.epoch = cache_.epoch();
-    return api::QueryResponse::Failure(key.status(), stats);
-  }
+  if (!key.ok()) return Refuse(key.status());
   return ExecuteWithKey(request, *key);
 }
 
-std::future<api::QueryResponse> QueryService::SubmitAsync(
-    api::QueryRequest request) {
-  return pool_.SubmitWithFuture(
-      [this, request = std::move(request)]() -> api::QueryResponse {
-        return Execute(request);
+void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
+                          std::function<void(api::QueryResponse)> on_done) {
+  util::WallTimer timer;
+  api::StatusOr<std::string> key = request.ValidatedKey();
+  if (!key.ok()) {
+    on_done(Refuse(key.status()));
+    return;
+  }
+  // Admission budget check, before the cache is even consulted: an
+  // expired request gets kDeadlineExceeded for free — the contract is
+  // "no time is spent on work nobody is waiting for", not "answer if
+  // cheap".
+  if (deadline_micros != 0 && clock_->NowMicros() >= deadline_micros) {
+    {
+      util::MutexLock lock(pending_mu_);
+      ++sheds_at_admission_;
+    }
+    on_done(Refuse(
+        api::Status::DeadlineExceeded("deadline expired at admission")));
+    return;
+  }
+  if (ResultPtr hit = cache_.Lookup(*key)) {
+    double micros = timer.ElapsedMicros();
+    RecordLatency(/*hit=*/true, /*negative=*/hit->negative(), micros);
+    api::QueryStats stats;
+    stats.cache_hit = true;
+    stats.negative = hit->negative();
+    stats.compute_micros = micros;
+    stats.epoch = cache_.epoch();
+    on_done(api::QueryResponse::Success(AliasResults(hit), stats));
+    return;
+  }
+  // Miss: the pending-miss watermark may shed this request now (it has
+  // the lowest budget of everything queued) or evict a lower-budget
+  // pending miss to make room.
+  std::shared_ptr<MissTicket> ticket;
+  if (!AdmitMiss(deadline_micros, &ticket)) {
+    on_done(Refuse(api::Status::DeadlineExceeded(
+        "shed at admission: pool over watermark, lowest budget first")));
+    return;
+  }
+  // Compute on the pool. ExecuteWithKey never throws and on_done must
+  // not, so the task honors the pool's no-throw contract. BeginMiss
+  // re-checks the budget at dequeue — time queued behind a backed-up
+  // pool counts. The task holds a copy of on_done: if the pool rejects
+  // it, the original still answers below.
+  bool submitted = pool_.Submit(
+      [this, request = std::move(request), key = std::move(*key), ticket,
+       on_done] {
+        switch (BeginMiss(ticket)) {
+          case MissGate::kShedByWatermark:
+            on_done(Refuse(api::Status::DeadlineExceeded(
+                "shed while queued: pool over watermark, lowest budget "
+                "first")));
+            return;
+          case MissGate::kExpiredInQueue:
+            on_done(Refuse(api::Status::DeadlineExceeded(
+                "deadline expired while queued")));
+            return;
+          case MissGate::kProceed:
+            break;
+        }
+        on_done(ExecuteWithKey(request, key));
       });
-}
-
-void QueryService::SubmitBatch(
-    std::vector<api::QueryRequest> requests,
-    std::function<void(size_t, api::QueryResponse)> on_done) {
-  // Relative budgets become absolute deadlines at entry; a front end that
-  // wants queueing time before this call to count against the budget
-  // stamps its own deadlines and uses the absolute overload directly.
-  std::vector<uint64_t> deadlines(requests.size(), 0);
-  uint64_t now = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].deadline_micros() != 0) {
-      if (now == 0) now = clock_->NowMicros();
-      deadlines[i] = now + requests[i].deadline_micros();
-    }
+  if (!submitted) {
+    // Pool already stopped (teardown): the request is still answered
+    // exactly once — a dropped callback would wedge the front end's
+    // drain accounting forever. The never-run task also never consumes
+    // its ticket, so roll the registration back here.
+    AbandonMiss(ticket);
+    on_done(Refuse(api::Status::Internal("service shutting down")));
   }
-  SubmitBatch(std::move(requests), std::move(deadlines), std::move(on_done));
-}
-
-void QueryService::SubmitBatch(
-    std::vector<api::QueryRequest> requests,
-    std::vector<uint64_t> deadlines_micros,
-    std::function<void(size_t, api::QueryResponse)> on_done) {
-  for (size_t i = 0; i < requests.size(); ++i) {
-    api::QueryRequest& request = requests[i];
-    const uint64_t deadline =
-        i < deadlines_micros.size() ? deadlines_micros[i] : 0;
-    util::WallTimer timer;
-    api::StatusOr<std::string> key = request.ValidatedKey();
-    if (!key.ok()) {
-      api::QueryStats stats;
-      stats.epoch = cache_.epoch();
-      on_done(i, api::QueryResponse::Failure(key.status(), stats));
-      continue;
-    }
-    // Admission budget check, before the cache is even consulted: an
-    // expired request gets kDeadlineExceeded for free — the contract is
-    // "no time is spent on work nobody is waiting for", not "answer if
-    // cheap".
-    if (deadline != 0 && clock_->NowMicros() >= deadline) {
-      {
-        util::MutexLock lock(pending_mu_);
-        ++sheds_at_admission_;
-      }
-      on_done(i, ShedResponse("deadline expired at admission"));
-      continue;
-    }
-    if (ResultPtr hit = cache_.Lookup(*key)) {
-      double micros = timer.ElapsedMicros();
-      RecordLatency(/*hit=*/true, /*negative=*/hit->negative(), micros);
-      api::QueryStats stats;
-      stats.cache_hit = true;
-      stats.negative = hit->negative();
-      stats.compute_micros = micros;
-      stats.epoch = cache_.epoch();
-      on_done(i, api::QueryResponse::Success(AliasResults(hit), stats));
-      continue;
-    }
-    // Miss: the pending-miss watermark may shed this request now (it has
-    // the lowest budget of everything queued) or evict a lower-budget
-    // pending miss to make room.
-    std::shared_ptr<MissTicket> ticket;
-    if (!AdmitMiss(deadline, &ticket)) {
-      on_done(i, ShedResponse("shed at admission: pool over watermark, "
-                              "lowest budget first"));
-      continue;
-    }
-    // Compute on the pool. ExecuteWithKey never throws and on_done must
-    // not, so the task honors the pool's no-throw contract. BeginMiss
-    // re-checks the budget at dequeue — time queued behind a backed-up
-    // pool counts.
-    bool submitted = pool_.Submit(
-        [this, i, request = std::move(request), key = std::move(*key),
-         ticket, on_done] {
-          switch (BeginMiss(ticket)) {
-            case MissGate::kShedByWatermark:
-              on_done(i, ShedResponse("shed while queued: pool over "
-                                      "watermark, lowest budget first"));
-              return;
-            case MissGate::kExpiredInQueue:
-              on_done(i, ShedResponse("deadline expired while queued"));
-              return;
-            case MissGate::kProceed:
-              break;
-          }
-          on_done(i, ExecuteWithKey(request, key));
-        });
-    if (!submitted) {
-      // Pool already stopped (teardown): every request is still answered
-      // exactly once — a dropped callback would wedge the front end's
-      // drain accounting forever. The never-run task also never consumes
-      // its ticket, so roll the registration back here.
-      AbandonMiss(ticket);
-      api::QueryStats stats;
-      stats.epoch = cache_.epoch();
-      on_done(i, api::QueryResponse::Failure(
-                     api::Status::Internal("service shutting down"), stats));
-    }
-  }
-}
-
-std::vector<api::QueryResponse> QueryService::ExecuteBatch(
-    std::vector<api::QueryRequest> requests) {
-  // One slot per index, filled by on_done on whichever thread answers it.
-  // Shared ownership: a worker may still hold its copy of on_done after
-  // the last answer has woken the waiter below.
-  struct Gather {
-    util::Mutex mu;
-    util::CondVar cv;
-    size_t remaining GUARDED_BY(mu) = 0;
-    std::vector<api::QueryResponse> responses GUARDED_BY(mu);
-  };
-  auto gather = std::make_shared<Gather>();
-  {
-    util::MutexLock lock(gather->mu);
-    gather->remaining = requests.size();
-    gather->responses.resize(requests.size());
-  }
-  SubmitBatch(std::move(requests),
-              [gather](size_t i, api::QueryResponse response) {
-                util::MutexLock lock(gather->mu);
-                gather->responses[i] = std::move(response);
-                if (--gather->remaining == 0) gather->cv.NotifyAll();
-              });
-  util::MutexLock lock(gather->mu);
-  while (gather->remaining != 0) gather->cv.Wait(gather->mu);
-  return std::move(gather->responses);
 }
 
 void QueryService::RebindContext(const search::SearchContext& context) {
@@ -348,13 +284,11 @@ void QueryService::RebindContext(const search::SearchContext& context) {
 void QueryService::RecordLatency(bool hit, bool negative, double micros) {
   util::MutexLock lock(latency_mu_);
   ++queries_;
-  all_latency_.Add(micros, options_.latency_window);
-  (hit ? hit_latency_ : miss_latency_).Add(micros, options_.latency_window);
+  all_latency_.Add(micros);
+  (hit ? hit_latency_ : miss_latency_).Add(micros);
   // Negative hits are double-attributed (they are hits, and they are
   // negative): negative_hit_latency_us answers "how fast do we say no?".
-  if (hit && negative) {
-    negative_hit_latency_.Add(micros, options_.latency_window);
-  }
+  if (hit && negative) negative_hit_latency_.Add(micros);
 }
 
 Metrics QueryService::metrics() const {

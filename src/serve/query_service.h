@@ -1,25 +1,23 @@
-// The async query-serving layer: a frozen SearchContext fronted by a
-// thread pool and a stampede-safe result cache.
+// The query-serving layer: a frozen SearchContext fronted by a thread
+// pool and a stampede-safe result cache.
 //
 // QueryService is what a production deployment would put between user
 // traffic and the engine. The public contract is the api layer's
 // request/response pair, served by one path per job:
-//   - SubmitBatch(requests, deadlines, on_done) — the served path (what
-//     net::Server calls). Invalid requests, expired budgets and cache
-//     hits are answered inline on the submitting thread; misses pass the
-//     pending-miss watermark and fan out over the shared pool, with
-//     duplicates coalesced onto one computation. The submitting thread
-//     never blocks. The relative-deadline SubmitBatch overload stamps
-//     deadlines at entry and forwards here, and ExecuteBatch is its
-//     blocking wrapper.
-//   - Execute(QueryRequest) -> QueryResponse — cache-aware synchronous
-//     query, computed inline on the calling thread; SubmitAsync is the
-//     same call hopped onto the pool.
-// Failures are typed Status codes, never exceptions, and response.stats
-// reports cache hit/miss, wall time and the cache epoch. Every path shares
-// one ResultCache keyed by api::CanonicalQueryKey, so skewed workloads —
-// the realistic shape of keyword traffic — collapse onto one computation
-// per distinct (keyword set, options) pair.
+//   - Submit(request, deadline, on_done) — the served path (what
+//     net::Server calls, once per decoded frame). An invalid request, an
+//     expired budget and a cache hit are answered inline on the
+//     submitting thread; a miss passes the pending-miss watermark and
+//     runs on the pool, coalesced with any concurrent miss for the same
+//     key. The submitting thread never blocks.
+//   - Execute(request) — cache-aware synchronous query, computed inline
+//     on the calling thread (the CLI, bench_cache, tests).
+// Both ride one compute path (ExecuteWithKey) and one ResultCache keyed
+// by api::CanonicalQueryKey, so skewed workloads — the realistic shape of
+// keyword traffic — collapse onto one computation per distinct (keyword
+// set, options) pair. Failures are typed Status codes, never exceptions,
+// and response.stats reports cache hit/miss, wall time and the cache
+// epoch.
 //
 // Lifetime and threading contract:
 //   - The service *borrows* its SearchContext; the caller keeps it alive.
@@ -30,17 +28,18 @@
 //     against the old context has finished — once it returns, the old
 //     context is unreferenced by the service and no result computed
 //     against it is ever served, so the caller may destroy it.
-//   - SubmitBatch callbacks may run on worker threads and must not throw
-//     (util::ThreadPool contract). They must not block on ExecuteBatch or
-//     on SubmitAsync futures (a blocked worker can deadlock a fully
-//     occupied pool); Execute is safe from callbacks.
+//   - Destruction drains: misses already on the pool finish (and answer)
+//     before the service is gone.
+//   - Submit callbacks may run on worker threads and must not throw
+//     (util::ThreadPool contract). They must not block waiting for other
+//     submitted requests (a blocked worker can deadlock a fully occupied
+//     pool); Execute and Submit are safe from callbacks.
 #ifndef OSUM_SERVE_QUERY_SERVICE_H_
 #define OSUM_SERVE_QUERY_SERVICE_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,10 +56,10 @@
 
 namespace osum::serve {
 
-/// Overload-control knobs. The service converts each request's relative
-/// `deadline_micros` budget into an absolute deadline at admission (via
-/// the same injectable Clock the cache policies use) and sheds work that
-/// cannot be answered in time — before it ever touches the backend.
+/// Overload-control knobs. Submit takes each request's absolute deadline
+/// on the service clock (the same injectable Clock the cache policies
+/// use) and sheds work that cannot be answered in time — before it ever
+/// touches the backend.
 struct OverloadOptions {
   /// High watermark on pooled misses (admitted but not yet computing).
   /// When an arriving miss finds this many already pending, the
@@ -71,13 +70,10 @@ struct OverloadOptions {
 };
 
 struct ServiceOptions {
-  /// Worker threads for the async paths and batch misses. 0 = hardware
-  /// concurrency.
+  /// Worker threads for submitted misses. 0 = hardware concurrency.
   size_t num_threads = 0;
   ResultCacheOptions cache;
   OverloadOptions overload;
-  /// Per-outcome latency reservoir size (most recent samples kept).
-  size_t latency_window = 4096;
 };
 
 class QueryService {
@@ -98,44 +94,25 @@ class QueryService {
   /// same arguments.
   api::QueryResponse Execute(const api::QueryRequest& request);
 
-  /// Async submission of one request: runs Execute on the service's pool;
-  /// the future resolves to the same value Execute would return (it never
-  /// carries an exception).
-  std::future<api::QueryResponse> SubmitAsync(api::QueryRequest request);
-
-  /// Relative-deadline SubmitBatch: derives each request's absolute
-  /// deadline from its `deadline_micros` budget at entry and forwards to
-  /// the absolute overload below.
-  void SubmitBatch(std::vector<api::QueryRequest> requests,
-                   std::function<void(size_t, api::QueryResponse)> on_done);
-
-  /// The batch path, for event-loop front ends (net::Server) that cannot
-  /// block: invalid requests and cache hits are answered inline on the
-  /// submitting thread, misses run on the pool with duplicates coalesced,
-  /// and each answer is delivered as on_done(index, response). on_done
-  /// may therefore run on the submitting thread or on a worker; it must
-  /// not throw and must not block on other batched QueryService calls.
-  /// Every request is answered exactly once: if the pool has already
+  /// The served path, for event-loop front ends (net::Server) that cannot
+  /// block. An invalid request, an expired budget and a cache hit are
+  /// answered inline on the submitting thread; a miss runs on the pool,
+  /// coalesced with concurrent misses for the same key. on_done may
+  /// therefore run on the submitting thread or on a worker; it must not
+  /// throw. The request is answered exactly once: if the pool has already
   /// stopped (service teardown), the miss is answered inline with
   /// kInternal rather than dropped.
   ///
-  /// `deadlines_micros[i]` is the ABSOLUTE deadline of requests[i] on this
-  /// service's clock() (0 = none) — the wire front end stamps
-  /// `now + request.deadline_micros()` at decode time, so time spent
-  /// queued in the front end counts against the budget. An expired
-  /// request is answered kDeadlineExceeded at admission without touching
-  /// the cache or backend (metrics().sheds_at_admission); a miss whose
-  /// deadline expires while queued behind the pool is answered the same
-  /// way when dequeued, before compute (metrics().sheds_at_dequeue).
-  void SubmitBatch(std::vector<api::QueryRequest> requests,
-                   std::vector<uint64_t> deadlines_micros,
-                   std::function<void(size_t, api::QueryResponse)> on_done);
-
-  /// Blocking batch over SubmitBatch: responses in input order.
-  /// Per-request failures are per-response statuses. Must not be called
-  /// from a worker callback (see header note).
-  std::vector<api::QueryResponse> ExecuteBatch(
-      std::vector<api::QueryRequest> requests);
+  /// `deadline_micros` is the ABSOLUTE deadline on clock() (0 = none).
+  /// net::Server stamps `now + request.deadline_micros()` at dispatch, so
+  /// the wait for a round-robin turn is not charged to the budget but
+  /// time queued behind the pool is. An expired request is answered
+  /// kDeadlineExceeded at admission without touching the cache or backend
+  /// (metrics().sheds_at_admission); a miss whose deadline expires while
+  /// queued behind the pool is answered the same way when dequeued,
+  /// before compute (metrics().sheds_at_dequeue).
+  void Submit(api::QueryRequest request, uint64_t deadline_micros,
+              std::function<void(api::QueryResponse)> on_done);
 
   /// Atomically redirects future queries to `context`, invalidates the
   /// cache, and drains: blocks until every in-flight query still executing
@@ -164,8 +141,8 @@ class QueryService {
 
   /// The time source deadlines are measured against: options.cache.clock,
   /// or the shared SystemClock when none was injected. Front ends stamp
-  /// absolute deadlines (`clock()->NowMicros() + budget`) on this clock so
-  /// service-side expiry checks compare like with like.
+  /// absolute deadlines (`clock()->NowMicros() + budget`, saturating) on
+  /// this clock so service-side expiry checks compare like with like.
   const std::shared_ptr<const Clock>& clock() const { return clock_; }
 
   /// Counters + latency reservoir snapshot (see serve/metrics.h).
@@ -204,11 +181,11 @@ class QueryService {
     std::vector<double> samples;
     size_t next = 0;
 
-    void Add(double v, size_t window);
+    void Add(double v);
     util::Summary Snapshot() const;
   };
 
-  /// The one cache-aware compute path every entry point rides for a
+  /// The one cache-aware compute path both entry points ride for a
   /// pre-validated request: hit, coalesced wait, or inline compute under a
   /// context pin. `key` is the request's canonical key (canonicalized
   /// exactly once per query — callers thread it through). Records
@@ -254,8 +231,9 @@ class QueryService {
   void AbandonMiss(const std::shared_ptr<MissTicket>& ticket)
       EXCLUDES(pending_mu_);
 
-  /// The kDeadlineExceeded response for a shed request.
-  api::QueryResponse ShedResponse(const char* why);
+  /// A failure answered without compute (invalid, shed, shutting down),
+  /// stamped with the current cache epoch.
+  api::QueryResponse Refuse(api::Status status);
 
   void RecordLatency(bool hit, bool negative, double micros)
       EXCLUDES(latency_mu_);

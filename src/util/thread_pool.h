@@ -1,21 +1,18 @@
 // Fixed-size worker pool and fan-out/fan-in helpers.
 //
-// Built for the batched query path (search::SearchContext::ExecuteBatch):
-// queries are embarrassingly parallel against shared immutable structures,
-// so all that is needed is a FIFO pool and a dynamic-scheduling
-// ParallelFor (joined via std::latch). Tasks must not throw — there is no
-// cross-thread exception channel.
+// Two users: the batched query path (search::SearchContext::ExecuteBatch,
+// via ParallelFor) and serve::QueryService, whose Submit runs each cache
+// miss as one pool task. Queries are embarrassingly parallel against
+// shared immutable structures, so all that is needed is a FIFO pool and a
+// dynamic-scheduling ParallelFor (joined via std::latch). Tasks must not
+// throw — there is no cross-thread exception channel.
 #ifndef OSUM_UTIL_THREAD_POOL_H_
 #define OSUM_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/mutex.h"
@@ -25,8 +22,7 @@ namespace osum::util {
 
 /// Fixed-size FIFO thread pool. Stop() (or destruction) drains
 /// already-submitted tasks, then joins the workers; submission after the
-/// pool stopped has defined, non-silent behavior (see Submit /
-/// SubmitWithFuture).
+/// pool stopped has defined, non-silent behavior (see Submit).
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -43,27 +39,6 @@ class ThreadPool {
   /// silently dropped) — it is destroyed unrun and Submit returns false,
   /// so callers that must deliver a completion can do so themselves.
   bool Submit(std::function<void()> task) EXCLUDES(mu_);
-
-  /// Enqueues `fn` and returns a future for its result (the asynchronous
-  /// submission path of serve::QueryService). Unlike Submit, `fn` may
-  /// throw: the exception is captured in the future and rethrown by
-  /// get(). Blocking on the future from a task running on this same pool
-  /// is subject to the ParallelFor deadlock caveat below — the producer
-  /// task must already be running, not queued behind the waiter.
-  /// After Stop() the task runs INLINE on the calling thread instead: the
-  /// returned future always resolves (a future that silently never
-  /// becomes ready would deadlock its consumer).
-  template <typename Fn>
-  auto SubmitWithFuture(Fn fn) -> std::future<std::invoke_result_t<Fn>> {
-    using Result = std::invoke_result_t<Fn>;
-    auto task =
-        std::make_shared<std::packaged_task<Result()>>(std::move(fn));
-    std::future<Result> future = task->get_future();
-    if (!Submit([task] { (*task)(); })) {
-      (*task)();  // pool stopped: the packaged_task still captures throws
-    }
-    return future;
-  }
 
   /// Stops accepting new work, drains every already-enqueued task, then
   /// joins the workers. Idempotent and safe to call concurrently (late

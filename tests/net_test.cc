@@ -750,6 +750,37 @@ TEST(NetOverload, TightDeadlinesShedWithoutComputeGenerousOnesSucceed) {
   EXPECT_EQ(m.pending_misses, 0u);
 }
 
+// A wire budget too large to add to the clock saturates at the far future
+// instead of wrapping around into the past: the request is served, not
+// shed as "deadline expired at admission".
+TEST(NetOverload, HugeDeadlineBudgetSaturatesInsteadOfExpiring) {
+  ScoredDblp dblp(SmallDblpConfig());
+  search::SearchContext context = BuildDblpContext(dblp.d, &dblp.backend);
+  auto clock = std::make_shared<serve::FakeClock>();
+  clock->AdvanceSeconds(60);  // any nonzero now overflows now + UINT64_MAX
+  serve::ServiceOptions so = SmallService();
+  so.cache.clock = clock;
+  serve::QueryService service(context, so);
+  Server server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  api::StatusOr<Client> client =
+      Client::Connect("127.0.0.1", server.port(), /*timeout_ms=*/30'000);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  for (uint64_t budget : {UINT64_MAX - 5, UINT64_MAX}) {
+    ASSERT_TRUE(
+        client->Send(SmallRequest("faloutsos").WithDeadlineMicros(budget))
+            .ok());
+    api::StatusOr<api::QueryResponse> response = client->Receive();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status.code(), api::StatusCode::kOk)
+        << budget << ": " << response->status.ToString();
+    EXPECT_FALSE(response->result_list().empty()) << budget;
+  }
+  EXPECT_EQ(server.stats().responses_deadline_exceeded, 0u);
+  EXPECT_EQ(service.metrics().sheds_at_admission, 0u);
+}
+
 // ---- half-close ----------------------------------------------------------
 
 // CloseWrite racing in-flight pooled misses: the client pipelines a burst

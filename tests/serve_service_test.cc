@@ -1,8 +1,8 @@
 // QueryService end-to-end: cached results must be byte-identical to
-// uncached SearchContext::Query on both join back ends, the async paths
-// (future + callback) must agree with the sync path, the batched path must
-// be cache-aware, and rebinding a rebuilt context must invalidate — a
-// stale context can never serve cached results.
+// uncached SearchContext::Query on both join back ends, Submit (the served
+// path) must agree with the sync path and stay cache-aware across many
+// requests, and rebinding a rebuilt context must invalidate — a stale
+// context can never serve cached results.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -56,13 +56,15 @@ std::vector<api::QueryRequest> Requests(const std::vector<std::string>& queries,
   return requests;
 }
 
-/// Collects SubmitBatch callbacks and blocks until all have fired.
+/// Collects Submit callbacks, one slot per request, and blocks until all
+/// have fired.
 class BatchCollector {
  public:
   explicit BatchCollector(size_t n) : answered_(n, 0), responses_(n) {}
 
-  std::function<void(size_t, api::QueryResponse)> Sink() {
-    return [this](size_t i, api::QueryResponse response) {
+  /// The on_done for request `i`.
+  std::function<void(api::QueryResponse)> Sink(size_t i = 0) {
+    return [this, i](api::QueryResponse response) {
       std::lock_guard<std::mutex> lock(mu_);
       ++answered_[i];
       responses_[i] = std::move(response);
@@ -86,6 +88,7 @@ class BatchCollector {
     std::lock_guard<std::mutex> lock(mu_);
     return answered_[i];
   }
+  size_t size() const { return answered_.size(); }
 
  private:
   std::mutex mu_;
@@ -93,6 +96,43 @@ class BatchCollector {
   std::vector<int> answered_;
   std::vector<api::QueryResponse> responses_;
 };
+
+/// Submits every request without a deadline; request i answers into
+/// collector slot i.
+void SubmitAll(QueryService* service, std::vector<api::QueryRequest> requests,
+               BatchCollector* collector) {
+  for (size_t i = 0; i < requests.size(); ++i) {
+    service->Submit(std::move(requests[i]), /*deadline_micros=*/0,
+                    collector->Sink(i));
+  }
+}
+
+/// The blocking batch over Submit: every request submitted, then the
+/// responses in input order. Must not run on a pool worker.
+std::vector<api::QueryResponse> ExecuteBatch(
+    QueryService* service, std::vector<api::QueryRequest> requests) {
+  BatchCollector collector(requests.size());
+  SubmitAll(service, std::move(requests), &collector);
+  collector.Wait();
+  std::vector<api::QueryResponse> responses;
+  for (size_t i = 0; i < collector.size(); ++i) {
+    responses.push_back(collector.response(i));
+  }
+  return responses;
+}
+
+/// One request submitted without a deadline, its answer as a future. The
+/// promise lives in the callback, so the future outlives the service.
+std::future<api::QueryResponse> SubmitFuture(QueryService* service,
+                                             api::QueryRequest request) {
+  auto promise = std::make_shared<std::promise<api::QueryResponse>>();
+  std::future<api::QueryResponse> future = promise->get_future();
+  service->Submit(std::move(request), /*deadline_micros=*/0,
+                  [promise](api::QueryResponse response) {
+                    promise->set_value(std::move(response));
+                  });
+  return future;
+}
 
 /// Delegating back end that can hold every join call on a gate (to keep a
 /// query deterministically in flight) or fail it (to make Query throw) —
@@ -255,19 +295,19 @@ TEST(QueryServiceAsync, FutureAndCallbackAgreeWithSync) {
   std::string golden = DeterministicResultText(ctx.Query("databases", options));
 
   std::future<api::QueryResponse> fut =
-      service.SubmitAsync(api::QueryRequest("databases", options));
+      SubmitFuture(&service, api::QueryRequest("databases", options));
   api::QueryResponse from_future = fut.get();
   ASSERT_TRUE(from_future.ok()) << from_future.status.ToString();
   EXPECT_EQ(DeterministicResultText(from_future.result_list()), golden);
 
   BatchCollector delivered(1);
-  service.SubmitBatch({api::QueryRequest("databases", options)},
-                      delivered.Sink());
+  service.Submit(api::QueryRequest("databases", options),
+                 /*deadline_micros=*/0, delivered.Sink());
   delivered.Wait();
   const api::QueryResponse& from_callback = delivered.response(0);
   ASSERT_TRUE(from_callback.ok()) << from_callback.status.ToString();
   EXPECT_EQ(DeterministicResultText(from_callback.result_list()), golden);
-  // The async paths share the cache: one compute total.
+  // Both submissions share the cache: one compute total.
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 }
 
@@ -284,7 +324,7 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
                                       "faloutsos", "power law",
                                       "nosuchkeywordanywhere", "databases"};
   std::vector<api::QueryResponse> batch =
-      service.ExecuteBatch(Requests(queries, options));
+      ExecuteBatch(&service, Requests(queries, options));
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << queries[i];
@@ -297,7 +337,7 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
 
   // Re-running the batch is pure hits — no new computes.
   std::vector<api::QueryResponse> again =
-      service.ExecuteBatch(Requests(queries, options));
+      ExecuteBatch(&service, Requests(queries, options));
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(again[i].results.get(), batch[i].results.get()) << queries[i];
   }
@@ -402,7 +442,7 @@ TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
 
   gated.CloseGate();
   std::future<api::QueryResponse> inflight =
-      service.SubmitAsync(api::QueryRequest("databases", options));
+      SubmitFuture(&service, api::QueryRequest("databases", options));
   gated.WaitUntilBlocked();  // the miss has pinned old_ctx and is computing
 
   std::atomic<bool> rebound{false};
@@ -454,7 +494,7 @@ TEST(QueryServiceBatch, FailingMissIsABackendErrorAndTheBatchCompletes) {
   const std::vector<std::string> queries = {"faloutsos", "databases",
                                             "nosuchkeywordanywhere", "mining"};
   std::vector<api::QueryResponse> failed =
-      service.ExecuteBatch(Requests(queries, options));
+      ExecuteBatch(&service, Requests(queries, options));
   ASSERT_EQ(failed.size(), queries.size());
   ASSERT_TRUE(failed[0].ok());
   EXPECT_EQ(failed[0].results.get(), warm.results.get());
@@ -470,7 +510,7 @@ TEST(QueryServiceBatch, FailingMissIsABackendErrorAndTheBatchCompletes) {
   // still reuses the pre-failure entry.
   gated.FailJoins(false);
   std::vector<api::QueryResponse> batch =
-      service.ExecuteBatch(Requests(queries, options));
+      ExecuteBatch(&service, Requests(queries, options));
   ASSERT_EQ(batch.size(), queries.size());
   EXPECT_EQ(batch[0].results.get(), warm.results.get());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -482,8 +522,8 @@ TEST(QueryServiceBatch, FailingMissIsABackendErrorAndTheBatchCompletes) {
 }
 
 // The request/response surface: Execute must agree byte-for-byte with the
-// uncached SearchContext::Query, share one cache with the async path, and
-// report the cache outcome in stats.
+// uncached SearchContext::Query, share one cache with Submit, and report
+// the cache outcome in stats.
 TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
@@ -508,9 +548,9 @@ TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   // A hit shares the same immutable list, zero-copy.
   EXPECT_EQ(second.results.get(), first.results.get());
 
-  // The sync and async paths ride one cache: the future resolves to the
-  // very list the first response aliases.
-  api::QueryResponse async = service.SubmitAsync(request).get();
+  // Execute and Submit ride one cache: the submitted request resolves to
+  // the very list the first response aliases.
+  api::QueryResponse async = SubmitFuture(&service, request).get();
   EXPECT_EQ(async.results.get(), first.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 }
@@ -586,11 +626,11 @@ TEST(QueryRequestValidation, BruteForceIsNotServed) {
   EXPECT_TRUE(brute.WithAlgorithm(core::SizeLAlgorithm::kDp).Validate().ok());
 }
 
-// The batch acceptance contract: SubmitBatch returns while its misses are
-// still computing — the submitting thread never blocks. The hit and the
-// invalid request are answered before the call returns; the gated miss is
+// The acceptance contract: Submit returns while its miss is still
+// computing — the submitting thread never blocks. The hit and the invalid
+// request are answered before their calls return; the gated misses are
 // not.
-TEST(QueryServiceApi, SubmitBatchNeverBlocksTheSubmitter) {
+TEST(QueryServiceApi, SubmitNeverBlocksTheSubmitter) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
@@ -598,16 +638,16 @@ TEST(QueryServiceApi, SubmitBatchNeverBlocksTheSubmitter) {
   api::QueryOptions options;
   options.l = 8;
 
-  // Warm one key so the batch mixes a ready hit with gated misses.
+  // Warm one key so the submissions mix a ready hit with gated misses.
   api::QueryResponse warm =
       service.Execute(api::QueryRequest("faloutsos", options));
   ASSERT_TRUE(warm.ok());
 
   gated.CloseGate();
   BatchCollector collector(4);
-  service.SubmitBatch(
-      Requests({"faloutsos", "databases", "", "mining"}, options),
-      collector.Sink());
+  SubmitAll(&service,
+            Requests({"faloutsos", "databases", "", "mining"}, options),
+            &collector);
   // Submission returned while every miss is parked on the closed gate.
   gated.WaitUntilBlocked();
   EXPECT_EQ(collector.answered(0), 1);
@@ -630,8 +670,8 @@ TEST(QueryServiceApi, SubmitBatchNeverBlocksTheSubmitter) {
   ASSERT_TRUE(collector.response(3).ok());
 }
 
-// Destruction-order regression: futures from SubmitAsync may outlive the
-// QueryService. The destructor must block until in-flight misses
+// Destruction-order regression: futures over submitted requests may
+// outlive the QueryService. The destructor must block until in-flight misses
 // finish (pool_ is the last member, so it drains while cache/context are
 // still alive), and the futures stay valid afterwards — their shared state
 // is heap-owned, not service-owned. ASan/TSan turn any violation into a
@@ -647,7 +687,8 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   gated.CloseGate();
   std::vector<std::future<api::QueryResponse>> futures;
   for (const char* q : {"databases", "mining"}) {
-    futures.push_back(service->SubmitAsync(api::QueryRequest(q, options)));
+    futures.push_back(
+        SubmitFuture(service.get(), api::QueryRequest(q, options)));
   }
   gated.WaitUntilBlocked();
 
@@ -674,9 +715,69 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   }
 }
 
-// SubmitBatch (the TCP front end's entry point): every request is answered
+// The teardown branch of Submit: a request that arrives once the pool has
+// stopped is rolled back out of the pending-miss count and answered
+// exactly once, inline, with kInternal. Only a worker callback can submit
+// while ~QueryService drains the pool, so a gated miss's callback does.
+// It cannot see when Stop() has begun, so it submits uncached probes until
+// one is refused; each probe accepted before that is queued behind the
+// single busy worker and answered OK during the drain.
+TEST(QueryServiceApi, SubmitDuringTeardownAnswersInternalExactlyOnce) {
+  ScoredDblp f(SmallDblpConfig());
+  GatedBackend gated(&f.backend);
+  search::SearchContext ctx = BuildDblpContext(f.d, &gated);
+  ServiceOptions so;
+  so.num_threads = 1;  // queued probes stay pending until the drain
+  auto service = std::make_unique<QueryService>(ctx, so);
+  QueryService* const raw = service.get();
+  api::QueryOptions options;
+  options.l = 8;
+
+  constexpr size_t kMaxProbes = 10'000;
+  BatchCollector probes(kMaxProbes);
+  size_t refused = kMaxProbes;  // index of the probe answered kInternal
+  size_t pending_after_refusal = 0;
+  BatchCollector first(1);
+  gated.CloseGate();
+  raw->Submit(
+      api::QueryRequest("databases", options), /*deadline_micros=*/0,
+      [&, sink = first.Sink()](api::QueryResponse response) {
+        sink(std::move(response));
+        for (size_t i = 0; i < kMaxProbes; ++i) {
+          raw->Submit(api::QueryRequest("probe" + std::to_string(i), options),
+                      /*deadline_micros=*/0, probes.Sink(i));
+          if (probes.answered(i) == 1 &&
+              probes.response(i).status.code() == api::StatusCode::kInternal) {
+            refused = i;
+            pending_after_refusal = raw->metrics().pending_misses;
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+  gated.WaitUntilBlocked();
+  std::thread destroyer([&] { service.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gated.OpenGate();
+  destroyer.join();
+
+  ASSERT_LT(refused, kMaxProbes) << "no probe reached the stopped pool";
+  EXPECT_EQ(first.answered(0), 1);
+  EXPECT_TRUE(first.response(0).ok());
+  for (size_t i = 0; i <= refused; ++i) {
+    EXPECT_EQ(probes.answered(i), 1) << i;
+    EXPECT_EQ(probes.response(i).status.code(),
+              i == refused ? api::StatusCode::kInternal : api::StatusCode::kOk)
+        << i;
+  }
+  // Only the accepted probes are still pending: the refused one's ticket
+  // was rolled back.
+  EXPECT_EQ(pending_after_refusal, refused);
+}
+
+// Submit (the TCP front end's entry point): every request is answered
 // exactly once, hits and invalids inline, misses on the pool.
-TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
+TEST(QueryServiceApi, SubmitAnswersEveryRequestExactlyOnce) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
@@ -691,41 +792,26 @@ TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   for (const char* q : {"faloutsos", "databases", "", "databases"}) {
     requests.push_back(api::QueryRequest(q).WithOptions(options));
   }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<int> answered(requests.size(), 0);
-  std::vector<api::QueryResponse> responses(requests.size());
-  service.SubmitBatch(std::move(requests),
-                      [&](size_t i, api::QueryResponse response) {
-                        std::lock_guard<std::mutex> lock(mu);
-                        ++answered[i];
-                        responses[i] = std::move(response);
-                        cv.notify_all();
-                      });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30), [&] {
-      for (int count : answered) {
-        if (count == 0) return false;
-      }
-      return true;
-    }));
+  BatchCollector collector(requests.size());
+  SubmitAll(&service, std::move(requests), &collector);
+  collector.Wait();
+  for (size_t i = 0; i < collector.size(); ++i) {
+    EXPECT_EQ(collector.answered(i), 1);
   }
-  for (int count : answered) {
-    EXPECT_EQ(count, 1);
-  }
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_TRUE(responses[0].stats.cache_hit);
-  EXPECT_EQ(responses[0].results.get(), warm.results.get());
-  EXPECT_TRUE(responses[1].ok());
-  EXPECT_EQ(responses[2].status.code(), api::StatusCode::kInvalidArgument);
-  EXPECT_TRUE(responses[3].ok());
+  EXPECT_TRUE(collector.response(0).ok());
+  EXPECT_TRUE(collector.response(0).stats.cache_hit);
+  EXPECT_EQ(collector.response(0).results.get(), warm.results.get());
+  EXPECT_TRUE(collector.response(1).ok());
+  EXPECT_EQ(collector.response(2).status.code(),
+            api::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(collector.response(3).ok());
   // The duplicate coalesced onto one computation: shared immutable list.
-  EXPECT_EQ(responses[3].results.get(), responses[1].results.get());
+  EXPECT_EQ(collector.response(3).results.get(),
+            collector.response(1).results.get());
   EXPECT_EQ(service.metrics().cache.misses, 2u);  // warm + "databases"
 }
 
-// ExecuteBatch (the blocking layer over SubmitBatch) must stay
+// A blocking batch over Submit (the file-local ExecuteBatch) must stay
 // byte-identical to serial execution and cache-aware across runs.
 TEST(QueryServiceApi, ExecuteBatchMatchesSerialAndStaysCacheAware) {
   ScoredDblp f(SmallDblpConfig());
@@ -741,7 +827,7 @@ TEST(QueryServiceApi, ExecuteBatchMatchesSerialAndStaysCacheAware) {
   for (const std::string& q : queries) {
     requests.push_back(api::QueryRequest(q).WithOptions(options));
   }
-  std::vector<api::QueryResponse> batch = service.ExecuteBatch(requests);
+  std::vector<api::QueryResponse> batch = ExecuteBatch(&service, requests);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << queries[i];
@@ -752,7 +838,7 @@ TEST(QueryServiceApi, ExecuteBatchMatchesSerialAndStaysCacheAware) {
   EXPECT_EQ(service.metrics().cache.misses, 3u);  // distinct queries only
 
   // Re-running is pure hits on the same immutable lists.
-  std::vector<api::QueryResponse> again = service.ExecuteBatch(requests);
+  std::vector<api::QueryResponse> again = ExecuteBatch(&service, requests);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_TRUE(again[i].stats.cache_hit) << queries[i];
     EXPECT_EQ(again[i].results.get(), batch[i].results.get()) << queries[i];
@@ -760,13 +846,13 @@ TEST(QueryServiceApi, ExecuteBatchMatchesSerialAndStaysCacheAware) {
   EXPECT_EQ(service.metrics().cache.misses, 3u);
 }
 
-TEST(QueryServiceApi, SubmitAsyncRequestAgreesWithExecute) {
+TEST(QueryServiceApi, SubmitAgreesWithExecute) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
   api::QueryRequest request = api::QueryRequest("databases").WithL(8);
 
-  api::QueryResponse from_future = service.SubmitAsync(request).get();
+  api::QueryResponse from_future = SubmitFuture(&service, request).get();
   ASSERT_TRUE(from_future.ok());
   api::QueryResponse direct = service.Execute(request);
   EXPECT_TRUE(direct.stats.cache_hit);  // one compute total
@@ -882,7 +968,7 @@ TEST(QueryServicePolicy, ExpiryRecomputesOnceAndRebindBeatsTtl) {
   clock->AdvanceMicros(900);
   gated.CloseGate();
   std::vector<std::future<api::QueryResponse>> inflight;
-  for (int i = 0; i < 3; ++i) inflight.push_back(service.SubmitAsync(pos));
+  for (int i = 0; i < 3; ++i) inflight.push_back(SubmitFuture(&service, pos));
   gated.WaitUntilBlocked();
   gated.OpenGate();
   for (auto& fut : inflight) {
@@ -946,12 +1032,9 @@ TEST(QueryServiceOverload, ExpiredAtAdmissionShedsWithoutBackendWork) {
   uint64_t fetches_after_warm = counting.fetches();
   uint64_t hits_after_warm = service.metrics().cache.hits;
 
-  std::vector<api::QueryRequest> requests;
-  requests.push_back(api::QueryRequest("databases").WithOptions(options));
-  std::vector<uint64_t> deadlines = {clock->NowMicros() - 1};
   BatchCollector collector(1);
-  service.SubmitBatch(std::move(requests), std::move(deadlines),
-                      collector.Sink());
+  service.Submit(api::QueryRequest("databases").WithOptions(options),
+                 clock->NowMicros() - 1, collector.Sink());
   collector.Wait();
 
   EXPECT_EQ(collector.response(0).status.code(),
@@ -985,9 +1068,8 @@ TEST(QueryServiceOverload, WatermarkShedsLowestBudgetFirst) {
 
   auto submit_one = [&](const char* q, uint64_t deadline,
                         BatchCollector* collector) {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
-    service.SubmitBatch(std::move(requests), {deadline}, collector->Sink());
+    service.Submit(api::QueryRequest(q).WithOptions(options), deadline,
+                   collector->Sink());
   };
 
   // Park the single worker on a deadline-less miss so subsequent misses
@@ -1043,9 +1125,8 @@ TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
 
   auto submit_one = [&](const char* q, uint64_t deadline,
                         BatchCollector* collector) {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
-    service.SubmitBatch(std::move(requests), {deadline}, collector->Sink());
+    service.Submit(api::QueryRequest(q).WithOptions(options), deadline,
+                   collector->Sink());
   };
 
   gated.CloseGate();
@@ -1070,9 +1151,9 @@ TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
 
 // A miss whose budget expires while queued behind a busy pool is answered
 // kDeadlineExceeded when dequeued, before compute: zero backend I/O for
-// the expired request, counted as a dequeue shed. Also exercises the
-// relative-budget SubmitBatch overload (the deadline here comes from
-// request.deadline_micros, stamped against the service clock at entry).
+// the expired request, counted as a dequeue shed. The deadline is the
+// request's deadline_micros budget stamped against the service clock, as
+// the TCP front end does.
 TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
@@ -1089,23 +1170,18 @@ TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   gated.CloseGate();
   uint64_t fetches_before = counting.fetches();
   BatchCollector blocker(1);
-  {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest("faloutsos").WithOptions(options));
-    service.SubmitBatch(std::move(requests), blocker.Sink());
-  }
+  service.Submit(api::QueryRequest("faloutsos").WithOptions(options),
+                 /*deadline_micros=*/0, blocker.Sink());
   gated.WaitUntilBlocked();
 
-  // Queue a miss with a 1ms budget via the RELATIVE overload, then burn
-  // the budget while it waits behind the parked worker.
+  // Queue a miss with a 1ms budget, then burn the budget while it waits
+  // behind the parked worker.
   BatchCollector doomed(1);
-  {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest("databases")
-                           .WithOptions(options)
-                           .WithDeadlineMicros(1'000));
-    service.SubmitBatch(std::move(requests), doomed.Sink());
-  }
+  api::QueryRequest tight = api::QueryRequest("databases")
+                                .WithOptions(options)
+                                .WithDeadlineMicros(1'000);
+  const uint64_t deadline = clock->NowMicros() + tight.deadline_micros();
+  service.Submit(std::move(tight), deadline, doomed.Sink());
   clock->AdvanceMicros(2'000);
   gated.OpenGate();
   blocker.Wait();
@@ -1181,8 +1257,9 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
 }
 
 // TSan canary for the full serving stack: many driver threads hammer one
-// service (sync + async + batch, overlapping keys) while the pool computes
-// misses. Verifies every answer against precomputed goldens.
+// service (Execute, single Submits and submitted pairs, overlapping keys)
+// while the pool computes misses. Verifies every answer against
+// precomputed goldens.
 TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   ScoredDblp f(SmallDblpConfig());
   core::DatabaseBackend backend(f.d.db, f.d.links, /*per_select_micros=*/0.0);
@@ -1223,14 +1300,15 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
                        service.Execute(api::QueryRequest(mix[qi], options)));
         size_t ai = (qi + 1) % mix.size();
         check_response(
-            ai, service.SubmitAsync(api::QueryRequest(mix[ai], options)).get());
+            ai,
+            SubmitFuture(&service, api::QueryRequest(mix[ai], options)).get());
         size_t ei = (qi + 2) % mix.size();
         check_response(ei,
                        service.Execute(api::QueryRequest(mix[ei], options)));
-        // A two-request batch per round rides the same cache and pool.
+        // A submitted pair per round rides the same cache and pool.
         size_t bi = (qi + 3) % mix.size();
         std::vector<api::QueryResponse> batch =
-            service.ExecuteBatch(Requests({mix[qi], mix[bi]}, options));
+            ExecuteBatch(&service, Requests({mix[qi], mix[bi]}, options));
         check_response(qi, batch[0]);
         check_response(bi, batch[1]);
         if (w == 0 && round == kRounds / 2) service.ClearCache();
@@ -1240,8 +1318,8 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   for (std::thread& t : drivers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   Metrics m = service.metrics();
-  // 5 recorded queries per round: two Executes, one SubmitAsync and the
-  // 2-request batch.
+  // 5 recorded queries per round: two Executes, one single Submit and the
+  // submitted pair.
   EXPECT_EQ(m.queries,
             static_cast<uint64_t>(kDrivers) * kRounds * 5);
   EXPECT_EQ(m.cache.hits + m.cache.misses + m.cache.coalesced_waits,

@@ -6,10 +6,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -215,20 +213,6 @@ TEST(ThreadPool, RunsAllSubmittedTasks) {
   EXPECT_EQ(ran.load(), 50);
 }
 
-TEST(ThreadPool, SubmitWithFutureReturnsValuesAndExceptions) {
-  ThreadPool pool(2);
-  std::future<int> value = pool.SubmitWithFuture([] { return 41 + 1; });
-  EXPECT_EQ(value.get(), 42);
-
-  std::future<void> done = pool.SubmitWithFuture([] {});
-  done.get();  // completes without value
-
-  // Unlike Submit, futures carry exceptions to the caller.
-  std::future<int> boom = pool.SubmitWithFuture(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(boom.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, StopDrainsQueuedTasksAndIsIdempotent) {
   std::atomic<int> ran{0};
   ThreadPool pool(2);
@@ -249,20 +233,6 @@ TEST(ThreadPool, SubmitAfterStopIsRejectedNotDropped) {
   // unrun), never silently enqueued behind workers that already exited.
   EXPECT_FALSE(pool.Submit([&ran] { ran.store(true); }));
   EXPECT_FALSE(ran.load());
-}
-
-TEST(ThreadPool, SubmitWithFutureAfterStopRunsInline) {
-  ThreadPool pool(2);
-  pool.Stop();
-  // Futures must always resolve — post-stop the task runs on the calling
-  // thread, values and exceptions included.
-  std::future<int> value = pool.SubmitWithFuture([] { return 7; });
-  EXPECT_EQ(value.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(value.get(), 7);
-  std::future<int> boom = pool.SubmitWithFuture(
-      []() -> int { throw std::runtime_error("inline failure"); });
-  EXPECT_THROW(boom.get(), std::runtime_error);
 }
 
 TEST(ParallelFor, RunsSeriallyOnStoppedPool) {
