@@ -38,11 +38,15 @@ Status ValidateOptions(const QueryOptions& options) {
         "l=" + std::to_string(options.l) + " exceeds the synopsis cap of " +
         std::to_string(kMaxSynopsisL) + " (use l=0 for the complete OS)");
   }
-  // The exhaustive oracle has no operation budget: one request on a large
-  // OS would pin a worker indefinitely. It stays a direct-call test oracle.
-  if (options.algorithm == core::SizeLAlgorithm::kBruteForce) {
+  // The exhaustive algorithms stay direct-call oracles. Brute force has no
+  // operation budget, so one request on a large OS would pin a worker.
+  // DP-Enumerate aborts on its budget after seconds and would answer with
+  // an empty selection; kDp returns the same optimum.
+  if (options.algorithm == core::SizeLAlgorithm::kBruteForce ||
+      options.algorithm == core::SizeLAlgorithm::kDpEnumerate) {
     return Status::InvalidArgument(
-        "the brute_force size-l algorithm is a test oracle and is not served");
+        std::string("the ") + core::AlgorithmName(options.algorithm) +
+        " size-l algorithm is a test oracle and is not served");
   }
   return Status::Ok();
 }

@@ -9,6 +9,7 @@
 
 #include "core/os_backend.h"
 #include "datasets/dblp.h"
+#include "db_fixtures.h"
 #include "search/inverted_index.h"
 #include "search/search_context.h"
 
@@ -25,6 +26,10 @@ using datasets::DblpPaperGds;
 using api::QueryOptions;
 using api::QueryResult;
 using api::ResultList;
+using osum::testing::ScoredDblp;
+using osum::testing::ScoredTpch;
+using osum::testing::SmallDblpConfig;
+using osum::testing::SmallTpchConfig;
 
 struct SearchFixture {
   Dblp d;
@@ -279,6 +284,123 @@ TEST(Engine, AlgorithmsAllProduceValidResults) {
           << core::AlgorithmName(algo);
     }
   }
+}
+
+// One line per (back end, memo, ranking) after running `mix` once through
+// SearchContext::Query on a fresh context: the back end's {select_calls,
+// tuples_read}, then the memo's {hits, misses, inserts}. Each mix repeats
+// and overlaps queries, so the memo-on lines show real reuse.
+std::vector<std::string> QueryLedgers(
+    const rel::Database& db, const graph::LinkSchema& links,
+    core::OsBackend* data_graph,
+    const std::vector<SearchContext::Subject>& subjects,
+    const std::vector<std::pair<std::string, QueryOptions>>& mix) {
+  core::DatabaseBackend database(db, links, /*per_select_micros=*/0.0);
+  std::vector<std::string> lines;
+  for (core::OsBackend* backend : {data_graph,
+                                   static_cast<core::OsBackend*>(&database)}) {
+    for (bool memo_on : {false, true}) {
+      for (auto ranking : {api::ResultRanking::kSubjectImportance,
+                           api::ResultRanking::kSummaryImportance}) {
+        SearchContext ctx = SearchContext::Build(db, backend, subjects);
+        core::PartialsMemoOptions memo_options;
+        memo_options.enabled = memo_on;
+        ctx.partials_memo().Configure(memo_options);
+        backend->ResetStats();
+        for (const auto& [keywords, query_options] : mix) {
+          QueryOptions options = query_options;
+          options.ranking = ranking;
+          ctx.Query(keywords, options);
+        }
+        util::IoStats io = backend->stats();
+        core::PartialsMemoMetrics memo = ctx.partials_memo().metrics();
+        lines.push_back(
+            std::string(backend == data_graph ? "data-graph" : "database") +
+            (memo_on ? " memo-on" : " memo-off") +
+            (ranking == api::ResultRanking::kSubjectImportance ? " subject"
+                                                               : " summary") +
+            " {" + std::to_string(io.select_calls) + ", " +
+            std::to_string(io.tuples_read) + "} {" +
+            std::to_string(memo.hits) + ", " + std::to_string(memo.misses) +
+            ", " + std::to_string(memo.inserts) + "}");
+      }
+    }
+  }
+  return lines;
+}
+
+QueryOptions LedgerOptions(size_t l, bool prelim, size_t max_results,
+                           core::SizeLAlgorithm algorithm =
+                               core::SizeLAlgorithm::kTopPath) {
+  QueryOptions options;
+  options.l = l;
+  options.use_prelim = prelim;
+  options.max_results = max_results;
+  options.algorithm = algorithm;
+  return options;
+}
+
+// The served path's work, pinned before and after any refactor of Query:
+// back-end I/O and memo traffic for a fixed query mix, per back end, memo
+// setting and ranking.
+TEST(QueryLedger, DblpMixCountsArePinned) {
+  ScoredDblp f(SmallDblpConfig());
+  std::vector<SearchContext::Subject> subjects;
+  subjects.push_back({f.d.author, DblpAuthorGds(f.d)});
+  subjects.push_back({f.d.paper, DblpPaperGds(f.d)});
+  const std::vector<std::pair<std::string, QueryOptions>> mix = {
+      {"faloutsos", LedgerOptions(10, true, 2)},
+      {"christos faloutsos", LedgerOptions(10, true, 3)},
+      {"faloutsos", LedgerOptions(10, false, 3, core::SizeLAlgorithm::kDp)},
+      {"databases", LedgerOptions(8, true, 3)},
+      {"mining", LedgerOptions(0, false, 2)},
+      {"power law", LedgerOptions(5, true, 4, core::SizeLAlgorithm::kDp)},
+      {"databases", LedgerOptions(8, true, 2)},
+      {"faloutsos", LedgerOptions(0, true, 3)},
+      {"nosuchkeywordanywhere", LedgerOptions(10, true, 3)},
+  };
+  std::vector<std::string> want = {
+      "data-graph memo-off subject {1925, 5336} {0, 0, 0}",
+      "data-graph memo-off summary {3325, 7976} {0, 0, 0}",
+      "data-graph memo-on subject {1034, 2809} {6, 14, 14}",
+      "data-graph memo-on summary {1884, 4380} {116, 168, 168}",
+      "database memo-off subject {1925, 5336} {0, 0, 0}",
+      "database memo-off summary {3325, 7976} {0, 0, 0}",
+      "database memo-on subject {1034, 2809} {6, 14, 14}",
+      "database memo-on summary {1884, 4380} {116, 168, 168}",
+  };
+  EXPECT_EQ(QueryLedgers(f.d.db, f.d.links, &f.backend, subjects, mix), want);
+}
+
+TEST(QueryLedger, TpchMixCountsArePinned) {
+  ScoredTpch f(SmallTpchConfig());
+  std::vector<SearchContext::Subject> subjects;
+  subjects.push_back({f.t.customer, datasets::TpchCustomerGds(f.t)});
+  subjects.push_back({f.t.supplier, datasets::TpchSupplierGds(f.t)});
+  const rel::Relation& customers = f.t.db.relation(f.t.customer);
+  const rel::Relation& suppliers = f.t.db.relation(f.t.supplier);
+  const std::vector<std::pair<std::string, QueryOptions>> mix = {
+      {customers.StringValue(3, 0), LedgerOptions(10, true, 2)},
+      {customers.StringValue(11, 0), LedgerOptions(10, false, 2,
+                                                   core::SizeLAlgorithm::kDp)},
+      {suppliers.StringValue(0, 0), LedgerOptions(20, false, 2,
+                                                  core::SizeLAlgorithm::kDp)},
+      {customers.StringValue(11, 0), LedgerOptions(0, false, 2)},
+      {"customer", LedgerOptions(8, true, 3)},
+      {customers.StringValue(3, 0), LedgerOptions(10, true, 2)},
+      {suppliers.StringValue(0, 0), LedgerOptions(30, false, 2)},
+  };
+  std::vector<std::string> want = {
+      "data-graph memo-off subject {889, 1359} {0, 0, 0}",
+      "data-graph memo-off summary {3565, 4517} {0, 0, 0}",
+      "data-graph memo-on subject {533, 778} {3, 6, 6}",
+      "data-graph memo-on summary {3209, 3936} {3, 123, 123}",
+      "database memo-off subject {889, 1359} {0, 0, 0}",
+      "database memo-off summary {3565, 4517} {0, 0, 0}",
+      "database memo-on subject {533, 778} {3, 6, 6}",
+      "database memo-on summary {3209, 3936} {3, 123, 123}",
+  };
+  EXPECT_EQ(QueryLedgers(f.t.db, f.t.links, &f.backend, subjects, mix), want);
 }
 
 }  // namespace

@@ -605,25 +605,36 @@ TEST(QueryServiceApi, InvalidAndFailingRequestsBecomeStatuses) {
   EXPECT_TRUE(none.result_list().empty());
 }
 
-// The exhaustive oracle has no operation budget, so one request could pin
-// a worker: it is rejected at validation, before any back-end SELECT.
-TEST(QueryRequestValidation, BruteForceIsNotServed) {
-  api::QueryRequest brute = api::QueryRequest("databases").WithAlgorithm(
-      core::SizeLAlgorithm::kBruteForce);
-  EXPECT_EQ(brute.Validate().code(), api::StatusCode::kInvalidArgument);
-  EXPECT_EQ(brute.ValidatedKey().status().code(),
-            api::StatusCode::kInvalidArgument);
-
+// Neither exhaustive algorithm is served. Brute force has no operation
+// budget, so one request could pin a worker. DP-Enumerate burns its
+// budget for seconds on a large complete OS and then answers with an empty
+// selection. Both are rejected at validation, before any back-end SELECT;
+// kDp returns the same optimum.
+TEST(QueryRequestValidation, ExhaustiveAlgorithmsAreNotServed) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  f.backend.ResetStats();
-  api::QueryResponse response = service.Execute(brute);
-  EXPECT_EQ(response.status.code(), api::StatusCode::kInvalidArgument);
-  EXPECT_EQ(f.backend.stats().select_calls, 0u);
-  EXPECT_EQ(service.metrics().queries, 0u);
-  // The same request with a served algorithm validates.
-  EXPECT_TRUE(brute.WithAlgorithm(core::SizeLAlgorithm::kDp).Validate().ok());
+  for (core::SizeLAlgorithm algorithm : {core::SizeLAlgorithm::kBruteForce,
+                                         core::SizeLAlgorithm::kDpEnumerate}) {
+    SCOPED_TRACE(core::AlgorithmName(algorithm));
+    api::QueryRequest exhaustive =
+        api::QueryRequest("databases").WithAlgorithm(algorithm);
+    EXPECT_EQ(exhaustive.Validate().code(),
+              api::StatusCode::kInvalidArgument);
+    EXPECT_EQ(exhaustive.ValidatedKey().status().code(),
+              api::StatusCode::kInvalidArgument);
+
+    f.backend.ResetStats();
+    api::QueryResponse response = service.Execute(exhaustive);
+    EXPECT_EQ(response.status.code(), api::StatusCode::kInvalidArgument);
+    EXPECT_EQ(f.backend.stats().select_calls, 0u);
+    EXPECT_EQ(service.metrics().queries, 0u);
+    EXPECT_EQ(ctx.Execute(exhaustive).status.code(),
+              api::StatusCode::kInvalidArgument);
+    // The same request with a served algorithm validates.
+    EXPECT_TRUE(
+        exhaustive.WithAlgorithm(core::SizeLAlgorithm::kDp).Validate().ok());
+  }
 }
 
 // The acceptance contract: Submit returns while its miss is still
