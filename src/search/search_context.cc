@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -33,6 +34,35 @@ std::string PartialsKey(const Hit& hit, bool prelim, size_t depth_or_l) {
   key += prelim ? 'l' : 'd';
   key += std::to_string(depth_or_l);
   return key;
+}
+
+// The size-l stage: the complete OS when l == 0, otherwise the requested
+// algorithm's size-l selection over it.
+core::Selection Select(const core::OsTree& os,
+                       const api::QueryOptions& options,
+                       core::DpScratch* scratch) {
+  if (options.l > 0) {
+    return core::RunSizeL(options.algorithm, os, options.l, scratch);
+  }
+  core::Selection all;
+  all.nodes.resize(os.size());
+  std::iota(all.nodes.begin(), all.nodes.end(), core::OsNodeId{0});
+  all.importance = os.TotalImportance();
+  return all;
+}
+
+// The final ranking stage under summary ranking: order by size-l OS
+// importance (stable, so ties keep the subject pre-rank) and truncate.
+void RankBySummary(const api::QueryOptions& options,
+                   std::vector<api::QueryResult>* results) {
+  if (options.ranking != api::ResultRanking::kSummaryImportance) return;
+  std::stable_sort(results->begin(), results->end(),
+                   [](const api::QueryResult& a, const api::QueryResult& b) {
+                     return a.selection.importance > b.selection.importance;
+                   });
+  if (results->size() > options.max_results) {
+    results->resize(options.max_results);
+  }
 }
 
 }  // namespace
@@ -82,13 +112,13 @@ std::vector<SearchContext::Subject> SearchContext::TakeSubjects() && {
   return out;
 }
 
-std::vector<api::QueryResult> SearchContext::Query(
+std::vector<Hit> SearchContext::RankedHits(
     std::string_view keywords, const api::QueryOptions& options) const {
   std::vector<Hit> hits = index_.SearchQuery(keywords);
-
   // Pre-rank data subjects by global importance. Under subject ranking the
   // list is truncated here (cheap); under summary ranking every hit's
-  // size-l OS must be computed first, so truncation happens at the end.
+  // size-l OS must be computed first, so RankBySummary truncates at the
+  // end.
   std::sort(hits.begin(), hits.end(), [this](const Hit& a, const Hit& b) {
     double ia = db_->relation(a.relation).importance(a.tuple);
     double ib = db_->relation(b.relation).importance(b.tuple);
@@ -100,78 +130,67 @@ std::vector<api::QueryResult> SearchContext::Query(
       hits.size() > options.max_results) {
     hits.resize(options.max_results);
   }
+  return hits;
+}
 
+core::OsTree SearchContext::AcquireOs(const Hit& hit,
+                                      const api::QueryOptions& options) const {
+  const gds::Gds& gds = subjects_.at(hit.relation);
+  // Footnote 1: tuples at distance >= l from t_DS cannot be in a
+  // connected size-l OS, so generation stops at depth l - 1. A complete
+  // OS never grows past the G_DS depth, so capping there instead
+  // changes nothing and lets every l past it share one tree.
+  const bool prelim = options.l > 0 && options.use_prelim;
+  size_t depth = static_cast<size_t>(gds.MaxDepth());
+  if (options.l > 0) depth = std::min(depth, options.l - 1);
+
+  core::PartialsMemo& memo = *partials_memo_;
+  const bool use_memo = memo.enabled();
+  std::string memo_key;
+  uint64_t memo_epoch = 0;
+  if (use_memo) {
+    memo_key = PartialsKey(hit, prelim, prelim ? options.l : depth);
+    if (core::PartialPtr memoized = memo.Lookup(memo_key, &memo_epoch)) {
+      // The memoized tree is exactly what generation below would produce
+      // for this key — copying it keeps results byte-identical to the
+      // memo-off path.
+      return memoized->os;
+    }
+  }
+
+  core::OsGenOptions gen;
+  gen.max_depth = static_cast<int32_t>(depth);
+  core::OsTree os =
+      prelim ? core::GeneratePrelimOs(*db_, gds, backend_, hit.tuple,
+                                      options.l, gen)
+             : core::GenerateCompleteOs(*db_, gds, backend_, hit.tuple, gen);
+  if (use_memo) {
+    auto partial = std::make_shared<core::PartialSynopsis>();
+    partial->os = os;
+    partial->approx_bytes =
+        sizeof(core::PartialSynopsis) + os.ApproxHeapBytes();
+    memo.Insert(memo_key, std::move(partial), memo_epoch);
+  }
+  return os;
+}
+
+std::vector<api::QueryResult> SearchContext::Query(
+    std::string_view keywords, const api::QueryOptions& options) const {
+  std::vector<Hit> hits = RankedHits(keywords, options);
   std::vector<api::QueryResult> results;
   results.reserve(hits.size());
   // One scratch serves every hit of this query: after the first tree the
   // DP tables reuse the same arena blocks (see core::DpScratch).
   core::DpScratch scratch;
-  core::PartialsMemo& memo = *partials_memo_;
-  const bool use_memo = memo.enabled();
   for (const Hit& hit : hits) {
-    const gds::Gds& gds = subjects_.at(hit.relation);
     api::QueryResult r;
     r.subject = hit;
     r.subject_importance = db_->relation(hit.relation).importance(hit.tuple);
-
-    // Footnote 1: tuples at distance >= l from t_DS cannot be in a
-    // connected size-l OS, so generation stops at depth l - 1. A complete
-    // OS never grows past the G_DS depth, so capping there instead
-    // changes nothing and lets every l past it share one tree.
-    const bool prelim = options.l > 0 && options.use_prelim;
-    size_t depth = static_cast<size_t>(gds.MaxDepth());
-    if (options.l > 0) depth = std::min(depth, options.l - 1);
-    core::OsGenOptions gen;
-    gen.max_depth = static_cast<int32_t>(depth);
-
-    std::string memo_key;
-    uint64_t memo_epoch = 0;
-    core::PartialPtr memoized;
-    if (use_memo) {
-      memo_key = PartialsKey(hit, prelim, prelim ? options.l : depth);
-      memoized = memo.Lookup(memo_key, &memo_epoch);
-    }
-    if (memoized != nullptr) {
-      // The memoized tree is exactly what generation below would produce
-      // for this key — copying it keeps results byte-identical to the
-      // memo-off path.
-      r.os = memoized->os;
-    } else {
-      r.os = prelim ? core::GeneratePrelimOs(*db_, gds, backend_, hit.tuple,
-                                             options.l, gen)
-                    : core::GenerateCompleteOs(*db_, gds, backend_,
-                                               hit.tuple, gen);
-      if (use_memo) {
-        auto partial = std::make_shared<core::PartialSynopsis>();
-        partial->os = r.os;
-        partial->approx_bytes =
-            sizeof(core::PartialSynopsis) + r.os.ApproxHeapBytes();
-        memo.Insert(memo_key, std::move(partial), memo_epoch);
-      }
-    }
-
-    if (options.l == 0) {
-      r.selection.nodes.resize(r.os.size());
-      for (size_t i = 0; i < r.os.size(); ++i) {
-        r.selection.nodes[i] = static_cast<core::OsNodeId>(i);
-      }
-      r.selection.importance = r.os.TotalImportance();
-    } else {
-      r.selection = core::RunSizeL(options.algorithm, r.os, options.l,
-                                   &scratch);
-    }
+    r.os = AcquireOs(hit, options);
+    r.selection = Select(r.os, options, &scratch);
     results.push_back(std::move(r));
   }
-
-  if (options.ranking == api::ResultRanking::kSummaryImportance) {
-    std::stable_sort(results.begin(), results.end(),
-                     [](const api::QueryResult& a, const api::QueryResult& b) {
-                       return a.selection.importance > b.selection.importance;
-                     });
-    if (results.size() > options.max_results) {
-      results.resize(options.max_results);
-    }
-  }
+  RankBySummary(options, &results);
   return results;
 }
 

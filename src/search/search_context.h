@@ -131,6 +131,17 @@ class SearchContext {
   SearchContext(const rel::Database& db, core::OsBackend* backend)
       : db_(&db), backend_(backend) {}
 
+  // Query's stages, in order; the size-l selection and the summary
+  // ranking need no context and live in search_context.cc.
+  /// Index lookup, the importance pre-rank, and under subject ranking the
+  /// max_results truncate.
+  std::vector<Hit> RankedHits(std::string_view keywords,
+                              const api::QueryOptions& options) const;
+  /// One hit's OS tree: the depth cap, then the partials memo, generating
+  /// (Algorithm 4 or 5) and memoizing the tree on a miss.
+  core::OsTree AcquireOs(const Hit& hit,
+                         const api::QueryOptions& options) const;
+
   const rel::Database* db_;
   core::OsBackend* backend_;
   std::unordered_map<rel::RelationId, gds::Gds> subjects_;
