@@ -1,8 +1,8 @@
 // DatabaseBackend vs DataGraphBackend OS-generation cost across OS sizes.
 //
 // Figure 10(f) claims data-graph generation is ~65x faster than generating
-// the OS "direct from the DBMS"; bench_throughput implies this only via
-// QPS. This driver measures the ratio itself: for DBLP-author subjects of
+// the OS "direct from the DBMS"; end-to-end throughput only implies it.
+// This driver measures the ratio itself: for DBLP-author subjects of
 // graded complete-OS size, time GenerateCompleteOs (and prelim-10) on
 //   - DataGraphBackend (adjacency lists in memory),
 //   - DatabaseBackend with 0us simulated latency (pure access-path cost),

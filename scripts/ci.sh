@@ -3,13 +3,16 @@
 #   1. Release            — the configuration benchmarks are run in
 #   2. Debug + ASan/UBSan — catches what optimized builds hide
 #   3. Debug + TSan       — proves the primitives (util::ThreadPool, the
-#      annotated Mutex/CondVar), the concurrent query path (ExecuteBatch
-#      over a shared SearchContext), the serving layer (QueryService::Submit
+#      annotated Mutex/CondVar), the concurrent query path (threads calling
+#      Execute on a shared SearchContext), the serving layer (QueryService::Submit
 #      + ResultCache) and the TCP front end (net::Server event loop vs pool
 #      workers) race on nothing; runs the util-, search-, serve- and
 #      net-labeled suites, which include the concurrency/stampede stress
 #      aggregates (labeled search;slow / serve;slow).
-# The release lane also smokes the bench `--json` output mode (bench_cache
+# The release lane first fails on an orphan bench baseline: every
+# bench/baselines/<name>.json needs an osum_add_bench(<name> line in
+# bench/CMakeLists.txt, so deleting a bench cannot leave its baseline
+# behind. It also smokes the bench `--json` output mode (bench_cache
 # runs at --tiny sizes and its JSON must parse; the bench itself exits
 # nonzero if the >=10x hot-hit speedup gate fails or the long-tail
 # admission gate fails), diffs that run against the checked-in baseline as
@@ -113,6 +116,15 @@ run_config() {
   ctest --test-dir "${dir}" --output-on-failure --no-tests=error \
         -j "${JOBS}" "${ctest_args[@]+"${ctest_args[@]}"}"
 }
+
+echo "==== no orphan bench baselines ===="
+for baseline in bench/baselines/*.json; do
+  name="$(basename "${baseline}" .json)"
+  if ! grep -Eq "osum_add_bench\(${name}([[:space:]]|\$)" bench/CMakeLists.txt; then
+    echo "orphan baseline ${baseline}: no osum_add_bench(${name} in bench/CMakeLists.txt" >&2
+    exit 1
+  fi
+done
 
 run_config build-release -- -DCMAKE_BUILD_TYPE=Release
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace osum::search {
@@ -212,16 +211,6 @@ api::QueryResponse SearchContext::Execute(
     return api::QueryResponse::Failure(api::Status::BackendError(e.what()),
                                        stats);
   }
-}
-
-std::vector<api::QueryResponse> SearchContext::ExecuteBatch(
-    std::span<const api::QueryRequest> requests, util::ThreadPool& pool) const {
-  std::vector<api::QueryResponse> responses(requests.size());
-  // Execute never throws, so the fan-out honors ParallelFor's no-throw
-  // contract by construction.
-  util::ParallelFor(&pool, requests.size(),
-                    [&](size_t i) { responses[i] = Execute(requests[i]); });
-  return responses;
 }
 
 std::string SearchContext::Render(const api::QueryResult& result) const {

@@ -4,23 +4,24 @@
 // its own t_DS hits and OS trees against structures that never change at
 // query time. SearchContext captures exactly that split — everything built
 // once (database ref, registered G_DSs, inverted index, join back end) is
-// frozen behind a const API, and the query paths allocate all per-query
-// state on their own stack. One context therefore serves any number of
-// threads; the batch path fans out over a util::ThreadPool and returns
-// results in input order, byte-identical to running serially.
+// frozen behind a const API, and the query path allocates all per-query
+// state on its own stack. One context therefore serves any number of
+// threads calling Execute or Query at once, each answer byte-identical to
+// running serially.
 //
 // One query surface over one compute path:
 //   - Query — the compute primitive (string_view keywords + QueryOptions,
 //     exceptions propagate). The serving layer's cache compute callback
-//     rides it.
-//   - Execute/ExecuteBatch — the public api::QueryRequest ->
-//     api::QueryResponse contract over Query: validation and backend
-//     failures come back as typed Status codes (never exceptions),
-//     responses carry compute-time metadata, and an empty answer is
-//     distinguishable from an error.
+//     rides it. It runs named stages in order: RankedHits (index lookup
+//     and pre-rank), then per hit AcquireOs (partials memo or OS
+//     generation) and the size-l selection, then the summary ranking.
+//   - Execute — the public api::QueryRequest -> api::QueryResponse
+//     contract over Query: validation and backend failures come back as
+//     typed Status codes (never exceptions), responses carry compute-time
+//     metadata, and an empty answer is distinguishable from an error.
 //
-// Thread-safety contract (relied on by the batch path and enforced by
-// search_concurrency_test):
+// Thread-safety contract (relied on by serve::QueryService's worker pool
+// and enforced by search_concurrency_test):
 //   - rel::Database, graph::DataGraph, gds::Gds, InvertedIndex: immutable
 //     after their build/annotate phase.
 //   - core::OsBackend: stateless apart from atomic I/O counters (see
@@ -35,7 +36,6 @@
 #define OSUM_SEARCH_SEARCH_CONTEXT_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,10 +49,6 @@
 #include "core/size_l.h"
 #include "gds/gds.h"
 #include "search/inverted_index.h"
-
-namespace osum::util {
-class ThreadPool;
-}  // namespace osum::util
 
 namespace osum::search {
 
@@ -87,17 +83,6 @@ class SearchContext {
   /// stay false/0 — this is the uncached path). Results are byte-identical
   /// to Query with the same arguments. Thread-safe like Query.
   api::QueryResponse Execute(const api::QueryRequest& request) const;
-
-  /// Executes `requests` over `pool` (reused across batches; the caller
-  /// keeps ownership); one response per request, in input order, each
-  /// byte-identical to calling Execute serially. Per-request failures are
-  /// per-response statuses — one bad request cannot sink the batch. Must
-  /// not be called from a task running on `pool` itself — the blocking
-  /// fan-in would deadlock a fully occupied pool (see util::ParallelFor);
-  /// nested batches need a second pool.
-  std::vector<api::QueryResponse> ExecuteBatch(
-      std::span<const api::QueryRequest> requests,
-      util::ThreadPool& pool) const;
 
   /// The raw compute primitive behind Execute: runs one keyword query,
   /// propagating backend exceptions. All per-query state lives on this

@@ -1,8 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <latch>
 #include <utility>
 
 namespace osum::util {
@@ -58,33 +56,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const size_t workers = std::min(pool->size(), n);
-  if (workers <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Shared by reference with the tasks; wait() below keeps the frame alive
-  // until the last count_down.
-  std::atomic<size_t> cursor{0};
-  std::latch done(static_cast<ptrdiff_t>(workers));
-  auto drain = [&cursor, &done, &fn, n] {
-    for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-    done.count_down();
-  };
-  for (size_t w = 0; w < workers; ++w) {
-    // A stopped pool rejects the submission; run the share inline so the
-    // latch still reaches zero (ParallelFor degrades to a serial loop).
-    if (!pool->Submit(drain)) drain();
-  }
-  done.wait();
 }
 
 }  // namespace osum::util

@@ -1,11 +1,9 @@
-// Fixed-size worker pool and fan-out/fan-in helpers.
+// Fixed-size FIFO worker pool.
 //
-// Two users: the batched query path (search::SearchContext::ExecuteBatch,
-// via ParallelFor) and serve::QueryService, whose Submit runs each cache
-// miss as one pool task. Queries are embarrassingly parallel against
-// shared immutable structures, so all that is needed is a FIFO pool and a
-// dynamic-scheduling ParallelFor (joined via std::latch). Tasks must not
-// throw — there is no cross-thread exception channel.
+// One user: serve::QueryService, whose Submit runs each cache miss as one
+// pool task. Queries are embarrassingly parallel against shared immutable
+// structures, so a FIFO pool is all that is needed. Tasks must not throw —
+// there is no cross-thread exception channel.
 #ifndef OSUM_UTIL_THREAD_POOL_H_
 #define OSUM_UTIL_THREAD_POOL_H_
 
@@ -66,19 +64,6 @@ class ThreadPool {
   /// serialized by stop_mu_); not guarded.
   std::vector<std::thread> workers_;
 };
-
-/// Runs fn(0), ..., fn(n-1) across the pool's workers with dynamic
-/// scheduling (a shared atomic cursor, so uneven iteration costs balance
-/// out) and blocks until every iteration has finished. `fn` must be safe to
-/// invoke concurrently and must not throw. A pool of size <= 1 degrades to
-/// a serial loop on the calling thread.
-///
-/// Must NOT be called from a task running on `pool` itself: the blocking
-/// wait would occupy a worker while its sub-tasks sit behind it in the
-/// FIFO queue, deadlocking once every worker waits this way. Nested
-/// parallelism needs a second pool.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace osum::util
 

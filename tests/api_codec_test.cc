@@ -18,7 +18,6 @@
 #include "db_fixtures.h"
 #include "search/search_context.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace osum::api {
 namespace {
@@ -673,29 +672,6 @@ TEST(ApiEquivalence, ExecuteTurnsFailuresIntoStatuses) {
   QueryResponse miss = ctx.Execute(QueryRequest("zzzznosuchtoken"));
   EXPECT_TRUE(miss.ok());
   EXPECT_TRUE(miss.result_list().empty());
-}
-
-TEST(ApiEquivalence, ExecuteBatchMatchesSerialExecute) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  std::vector<QueryRequest> requests;
-  for (const char* keywords : {"faloutsos", "databases", "mining", "",
-                               "graphs", "faloutsos"}) {
-    requests.push_back(QueryRequest(keywords).WithL(7).WithMaxResults(3));
-  }
-  util::ThreadPool pool(4);
-  std::vector<QueryResponse> batched = ctx.ExecuteBatch(requests, pool);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    QueryResponse serial = ctx.Execute(requests[i]);
-    EXPECT_EQ(batched[i].status, serial.status) << i;
-    EXPECT_EQ(DeterministicResultText(batched[i].result_list()),
-              DeterministicResultText(serial.result_list()))
-        << i;
-  }
-  // The empty-keyword request failed alone; its neighbors succeeded.
-  EXPECT_EQ(batched[3].status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(batched[2].ok());
 }
 
 }  // namespace

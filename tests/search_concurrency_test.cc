@@ -1,8 +1,8 @@
-// Concurrency guarantees of the search layer: ExecuteBatch over a shared
-// immutable SearchContext must be byte-identical to serial Execute on both
-// join back ends, and hammering one context from many threads must
-// expose zero mutable shared state (run under TSan via
-// `OSUM_SANITIZE=thread`, see scripts/ci.sh).
+// Concurrency guarantees of the search layer: a batch of requests run by
+// N threads calling Execute on one shared immutable SearchContext must be
+// byte-identical to serial Execute on both join back ends, and hammering
+// one context from many threads must expose zero mutable shared state
+// (run under TSan via `OSUM_SANITIZE=thread`, see scripts/ci.sh).
 #include <atomic>
 #include <string>
 #include <thread>
@@ -14,7 +14,6 @@
 #include "db_fixtures.h"
 #include "api/codec.h"
 #include "search/search_context.h"
-#include "util/thread_pool.h"
 
 namespace osum::search {
 namespace {
@@ -25,6 +24,7 @@ using osum::api::DeterministicResultText;
 using osum::api::QueryOptions;
 using osum::api::QueryRequest;
 using osum::api::QueryResponse;
+using osum::api::StatusCode;
 using osum::testing::SmallDblpConfig;
 using osum::testing::SmallTpchConfig;
 
@@ -78,23 +78,58 @@ std::vector<std::string> SerialFingerprints(
   return Fingerprints(serial);
 }
 
+/// Runs `requests` on `threads` std::threads sharing `ctx`. Thread w
+/// executes requests w, w + threads, w + 2 * threads, ... and stores each
+/// response in its request's slot, so the output is in input order.
+std::vector<QueryResponse> ExecuteOnThreads(
+    const SearchContext& ctx, const std::vector<QueryRequest>& requests,
+    size_t threads) {
+  std::vector<QueryResponse> responses(requests.size());
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (size_t w = 0; w < threads; ++w) {
+    workers.emplace_back([&, w] {
+      for (size_t i = w; i < requests.size(); i += threads) {
+        responses[i] = ctx.Execute(requests[i]);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  return responses;
+}
+
+/// At 2, 4 and 8 threads every response must match serial Execute: the
+/// same status and the same results.
+void ExpectBatchMatchesSerial(const SearchContext& ctx,
+                              const std::vector<QueryRequest>& requests) {
+  std::vector<QueryResponse> serial;
+  serial.reserve(requests.size());
+  for (const QueryRequest& r : requests) serial.push_back(ctx.Execute(r));
+
+  for (size_t threads : {2u, 4u, 8u}) {
+    std::vector<QueryResponse> batch =
+        ExecuteOnThreads(ctx, requests, threads);
+    ASSERT_EQ(batch.size(), requests.size()) << threads << " threads";
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(batch[i].status, serial[i].status)
+          << "query \"" << requests[i].keywords() << "\" at " << threads
+          << " threads";
+      EXPECT_EQ(DeterministicResultText(batch[i].result_list()),
+                DeterministicResultText(serial[i].result_list()))
+          << "query \"" << requests[i].keywords() << "\" diverged at "
+          << threads << " threads";
+    }
+  }
+}
+
+/// The valid-mix form: every serial response must succeed (Fingerprints
+/// fails the test otherwise), and the threaded runs must match them.
 void ExpectBatchMatchesSerial(const SearchContext& ctx,
                               const std::vector<std::string>& mix,
                               const QueryOptions& options) {
   const std::vector<QueryRequest> requests = Requests(mix, options);
-  const std::vector<std::string> serial = SerialFingerprints(ctx, requests);
-
-  for (size_t threads : {2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    std::vector<std::string> batch =
-        Fingerprints(ctx.ExecuteBatch(requests, pool));
-    ASSERT_EQ(batch.size(), mix.size()) << threads << " threads";
-    for (size_t i = 0; i < mix.size(); ++i) {
-      EXPECT_EQ(batch[i], serial[i])
-          << "query \"" << mix[i] << "\" diverged at " << threads
-          << " threads";
-    }
-  }
+  SerialFingerprints(ctx, requests);
+  ExpectBatchMatchesSerial(ctx, requests);
 }
 
 TEST(ExecuteBatchEquivalence, DataGraphBackendDblp) {
@@ -145,27 +180,14 @@ TEST(ExecuteBatchEquivalence, BothBackendsAgreeOnTpch) {
   // The back ends themselves must agree tuple-for-tuple (importance-sorted
   // access paths make OS generation backend-independent).
   const std::vector<QueryRequest> requests = Requests(mix, options);
-  util::ThreadPool pool(4);
   std::vector<std::string> a =
-      Fingerprints(graph_ctx.ExecuteBatch(requests, pool));
+      Fingerprints(ExecuteOnThreads(graph_ctx, requests, 4));
   std::vector<std::string> b =
-      Fingerprints(sql_ctx.ExecuteBatch(requests, pool));
+      Fingerprints(ExecuteOnThreads(sql_ctx, requests, 4));
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "query " << mix[i];
   }
-}
-
-TEST(ExecuteBatchEquivalence, DegenerateBatches) {
-  ScoredDblp f(SmallDblpConfig());
-  SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  util::ThreadPool pool(16);
-  EXPECT_TRUE(ctx.ExecuteBatch({}, pool).empty());
-  // A pool wider than the batch leaves the spare workers idle.
-  std::vector<QueryRequest> one{QueryRequest("faloutsos")};
-  std::vector<std::string> batch = Fingerprints(ctx.ExecuteBatch(one, pool));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], SerialFingerprints(ctx, one)[0]);
 }
 
 TEST(ExecuteBatchEquivalence, SummaryRankingMatchesSerial) {
@@ -176,6 +198,28 @@ TEST(ExecuteBatchEquivalence, SummaryRankingMatchesSerial) {
   options.max_results = 5;
   options.ranking = api::ResultRanking::kSummaryImportance;
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
+}
+
+// One bad request in a batch fails alone: its threaded response matches
+// serial Execute, and its neighbors succeed.
+TEST(ExecuteBatchEquivalence, InvalidRequestFailsAlone) {
+  ScoredDblp f(SmallDblpConfig());
+  SearchContext ctx = BuildDblpContext(f.d, &f.backend);
+  std::vector<QueryRequest> requests;
+  for (const char* keywords : {"faloutsos", "databases", "mining", "",
+                               "graphs", "faloutsos"}) {
+    requests.push_back(QueryRequest(keywords).WithL(7).WithMaxResults(3));
+  }
+  ExpectBatchMatchesSerial(ctx, requests);
+  std::vector<QueryResponse> batch = ExecuteOnThreads(ctx, requests, 4);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (i == 3) {
+      EXPECT_EQ(batch[i].status.code(), StatusCode::kInvalidArgument);
+    } else {
+      EXPECT_TRUE(batch[i].ok()) << requests[i].keywords();
+    }
+  }
 }
 
 // The TSan canary: many threads hammer ONE shared context through the
@@ -225,8 +269,8 @@ TEST(SearchConcurrencyStress, SharedContextSharedBackend) {
   EXPECT_GT(f.d.db.io_stats().Snapshot().select_calls, 0u);
 }
 
-// Same canary through the pool path: overlapping ExecuteBatch calls on one
-// context (the pool is stressed too — many small batches churn the queue).
+// Same canary with overlapping batches: four drivers each run the whole
+// mix on three threads, twice, against one context.
 TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
@@ -242,9 +286,8 @@ TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
   std::vector<std::thread> drivers;
   for (size_t w = 0; w < 4; ++w) {
     drivers.emplace_back([&] {
-      util::ThreadPool pool(3);
       for (int round = 0; round < 2; ++round) {
-        std::vector<QueryResponse> batch = ctx.ExecuteBatch(requests, pool);
+        std::vector<QueryResponse> batch = ExecuteOnThreads(ctx, requests, 3);
         for (size_t i = 0; i < mix.size(); ++i) {
           if (!batch[i].ok() ||
               DeterministicResultText(batch[i].result_list()) != golden[i]) {

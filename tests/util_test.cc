@@ -235,28 +235,6 @@ TEST(ThreadPool, SubmitAfterStopIsRejectedNotDropped) {
   EXPECT_FALSE(ran.load());
 }
 
-TEST(ParallelFor, RunsSeriallyOnStoppedPool) {
-  ThreadPool pool(3);
-  pool.Stop();
-  std::vector<std::atomic<int>> hits(64);
-  ParallelFor(&pool, hits.size(),
-              [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  ParallelFor(&pool, hits.size(),
-              [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-  // Degenerate sizes.
-  ParallelFor(&pool, 0, [](size_t) { FAIL() << "n=0 must not invoke fn"; });
-  std::atomic<int> one{0};
-  ParallelFor(&pool, 1, [&one](size_t) { one.fetch_add(1); });
-  EXPECT_EQ(one.load(), 1);
-}
-
 TEST(StringUtil, ToLower) {
   EXPECT_EQ(ToLower("FaLouTsos"), "faloutsos");
   EXPECT_EQ(ToLower(""), "");
