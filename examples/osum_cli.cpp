@@ -273,12 +273,10 @@ void RunCommand(Session& session, const std::string& line) {
       std::printf("error: %s\n", response.status.ToString().c_str());
       return;
     }
-    std::printf("[%s%s, %.1f us, epoch %llu] %zu result(s)\n",
+    std::printf("[%s%s, %.1f us] %zu result(s)\n",
                 response.stats.cache_hit ? "HIT" : "MISS",
                 response.stats.negative ? " neg" : "",
-                response.stats.compute_micros,
-                static_cast<unsigned long long>(response.stats.epoch),
-                response.result_list().size());
+                response.stats.compute_micros, response.result_list().size());
     for (const auto& r : response.result_list()) {
       std::printf("  importance %.2f, |OS|=%zu, selection %zu node(s)\n",
                   r.subject_importance, r.os.size(), r.selection.nodes.size());

@@ -21,8 +21,11 @@
 # Figure 10(f) shape (bench_backend_ratio --tiny exits nonzero unless the
 # database back end is slower than the data graph at every OS size and at
 # least 10x slower on the largest), and smokes the api wire format: `osum_cli query --wire json` must produce a document
-# Python's json module parses, and an out-of-range number on the CLI must
-# print a usage line and exit 0. The `quickstart` and `dblp_search` examples
+# Python's json module parses, an out-of-range number on the CLI must
+# print a usage line and exit 0, and the CLI's cached path must work end
+# to end (`osum_cli "build dblp; serve faloutsos 6; serve faloutsos 6;
+# metrics"` prints a MISS line, then a HIT line, then a metrics report
+# counting 2 queries and 1 hit). The `quickstart` and `dblp_search` examples
 # must each exit 0 and print a non-empty ranked result. Finally the serving
 # benchmark (perfbench/run.py) builds from this checkout and runs each of
 # its three workloads for 2 s, plus one traced run; every run's result line
@@ -203,6 +206,26 @@ build-release/examples/osum_cli \
     > build-release/cli_number_smoke.out
 grep -q '^usage: query ' build-release/cli_number_smoke.out
 echo "cli number smoke ok"
+
+# CLI cache smoke: the same query served twice through QueryService is a
+# miss, then a hit, and FormatMetricsReport counts both. The three lines
+# must appear in this order.
+echo "==== cli cache smoke (osum_cli serve x2; metrics) ===="
+cache_out="build-release/cli_cache_smoke.out"
+build-release/examples/osum_cli \
+    "build dblp; serve faloutsos 6; serve faloutsos 6; metrics" \
+    > "${cache_out}"
+python3 - "${cache_out}" <<'PY'
+import re, sys
+lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
+want = [r"^\[MISS, ", r"^\[HIT, ", r"^queries 2 \| hits 1 "]
+at = 0
+for line in lines:
+    if at < len(want) and re.match(want[at], line):
+        at += 1
+assert at == len(want), f"cli cache smoke: missing {want[at]!r} in order"
+print("cli cache smoke ok")
+PY
 
 # Examples smoke: each example builds its own SearchContext and prints
 # ranked results ("--- |OS|=..." in quickstart, "#1  [importance ..." in

@@ -340,32 +340,12 @@ void AppendResultJson(std::string* out, const QueryResult& r) {
 // ---------------------------------------------------------------------------
 
 std::string EncodeRequest(const QueryRequest& request) {
-  uint16_t version = request.deadline_micros() == 0 ? kWireVersion
-                                                    : kWireVersionDeadline;
-  StatusOr<std::string> bytes = EncodeRequestAt(request, version);
-  // Unreachable: the auto-picked version always carries the request.
-  return bytes.ok() ? *std::move(bytes) : std::string();
-}
-
-StatusOr<std::string> EncodeRequestAt(const QueryRequest& request,
-                                      uint16_t version) {
-  if (version != kWireVersion && version != kWireVersionDeadline) {
-    return Status::CodecError("cannot encode request at unknown wire version " +
-                              std::to_string(version));
-  }
   // Version <-> deadline is strict both ways so every request value has
   // exactly one encoding (the canonical-decode invariant the hostile
-  // sweeps rely on). Asking v1 to carry a deadline is a typed error, not
-  // a silent truncation.
-  if (version == kWireVersion && request.deadline_micros() != 0) {
-    return Status::CodecError(
-        "deadline_micros requires wire v2 (v1 cannot carry a deadline)");
-  }
-  if (version == kWireVersionDeadline && request.deadline_micros() == 0) {
-    return Status::CodecError(
-        "wire v2 requires a nonzero deadline_micros (deadline-less "
-        "requests encode as v1)");
-  }
+  // sweeps rely on): v1 iff no deadline, v2 iff one.
+  const uint16_t version = request.deadline_micros() == 0
+                               ? kWireVersion
+                               : kWireVersionDeadline;
   std::string out;
   PutHeader(&out, kKindRequest, version);
   PutStr(&out, request.keywords());

@@ -70,15 +70,8 @@ inline constexpr uint16_t kWireVersionDeadline = 2;
 
 /// Encodes at the lowest version that can express the request: v1 when
 /// deadline_micros == 0 (byte-identical to the pre-deadline format), v2
-/// otherwise.
+/// otherwise — so each value has exactly one canonical encoding.
 std::string EncodeRequest(const QueryRequest& request);
-
-/// Encodes at a specific version, for callers pinned to an old peer.
-/// A request whose fields the version cannot carry is a typed
-/// kCodecError — v1 cannot carry a deadline, and v2 requires one (each
-/// value has exactly one canonical encoding).
-StatusOr<std::string> EncodeRequestAt(const QueryRequest& request,
-                                      uint16_t version);
 
 StatusOr<QueryRequest> DecodeRequest(std::string_view bytes);
 

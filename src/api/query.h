@@ -5,10 +5,10 @@
 // (the former loose `(string_view, QueryOptions)` tuple), validates itself
 // into typed Status errors, and canonicalizes itself into the cache key the
 // serving layer caches on. QueryResponse pairs a Status with the ranked
-// results and per-query metadata (cache hit/miss, compute time, cache
-// epoch) — so a genuine empty answer (kOk, zero results) is distinguishable
-// from a failure, the precondition for negative caching and for serving
-// across processes (api/codec.h gives both types a wire form).
+// results and per-query metadata (cache hit/miss, compute time) — so a
+// genuine empty answer (kOk, zero results) is distinguishable from a
+// failure, the precondition for negative caching and for serving across
+// processes (api/codec.h gives both types a wire form).
 //
 // Layering: this header also *defines* the result vocabulary (Hit,
 // QueryOptions, QueryResult, ResultRanking) — the api layer sits below
@@ -191,8 +191,10 @@ struct QueryStats {
   /// Wall time spent producing this response at the answering boundary
   /// (full compute on a miss, lookup cost on a hit).
   double compute_micros = 0.0;
-  /// Cache invalidation epoch the results were served under (0 outside the
-  /// serving layer).
+  /// The v1 wire format's epoch slot, kept so encoded responses stay
+  /// byte-compatible. The serving layer has no invalidation epoch (a
+  /// service serves one context for life) and leaves it 0; a decoded
+  /// response carries whatever the peer encoded.
   uint64_t epoch = 0;
 };
 

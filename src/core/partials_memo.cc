@@ -8,9 +8,8 @@ PartialsMemo::PartialsMemo(PartialsMemoOptions options)
     : enabled_(options.enabled),
       lru_(options.max_entries, options.max_bytes) {}
 
-PartialPtr PartialsMemo::Lookup(const std::string& key, uint64_t* epoch_out) {
+PartialPtr PartialsMemo::Lookup(const std::string& key) {
   util::MutexLock lock(mu_);
-  if (epoch_out != nullptr) *epoch_out = epoch_;
   if (!enabled_) return nullptr;
   auto it = lru_.Find(key);
   if (it == lru_.end()) {
@@ -22,14 +21,13 @@ PartialPtr PartialsMemo::Lookup(const std::string& key, uint64_t* epoch_out) {
   return it->value;
 }
 
-bool PartialsMemo::Insert(const std::string& key, PartialPtr value,
-                          uint64_t epoch_at_lookup) {
+bool PartialsMemo::Insert(const std::string& key, PartialPtr value) {
   if (value == nullptr) return false;
   util::MutexLock lock(mu_);
   if (!enabled_) return false;
-  if (epoch_at_lookup != epoch_ || lru_.Find(key) != lru_.end()) {
-    // Computed against a rebound context, or lost the race to another
-    // thread computing the same key — either way the existing state wins.
+  if (lru_.Find(key) != lru_.end()) {
+    // Lost the race to another thread computing the same key: the
+    // existing entry wins.
     ++discarded_inserts_;
     return false;
   }
@@ -37,12 +35,6 @@ bool PartialsMemo::Insert(const std::string& key, PartialPtr value,
   lru_.Put(key, std::move(value), bytes);
   ++inserts_;
   return true;
-}
-
-void PartialsMemo::BumpEpoch() {
-  util::MutexLock lock(mu_);
-  ++epoch_;
-  lru_.Clear();
 }
 
 void PartialsMemo::Configure(const PartialsMemoOptions& options) {
@@ -68,7 +60,6 @@ PartialsMemoMetrics PartialsMemo::metrics() const {
   m.evictions = lru_.evictions();
   m.entries = lru_.size();
   m.approx_bytes = lru_.bytes();
-  m.epoch = epoch_;
   return m;
 }
 

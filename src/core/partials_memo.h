@@ -1,5 +1,5 @@
-// A bounded, epoch-aware memo of per-subject OS trees — the second,
-// finer-grained reuse tier beside serve::ResultCache.
+// A bounded memo of per-subject OS trees — the second, finer-grained
+// reuse tier beside serve::ResultCache.
 //
 // Size-l OSs score independently per subject, and the expensive part of a
 // subject's work is generating its OS (the back-end joins), not the size-l
@@ -14,13 +14,10 @@
 // results are byte-identical (pinned through DeterministicResultText).
 //
 // Recency, the entry and byte budgets and eviction are util::BoundedLru
-// (util/bounded_lru.h); this class adds the epoch and the counters.
-//
-// Epochs mirror the result cache's invalidation discipline: the serving
-// layer bumps the epoch on RebindContext, which atomically clears the memo
-// and causes in-flight inserts (computed against the old binding) to be
-// discarded rather than resurrected — a stale tree can never decorate a
-// post-rebind answer.
+// (util/bounded_lru.h); this class adds the enable switch and the
+// counters. A memo belongs to one immutable SearchContext and dies with
+// it, so it never needs invalidating: every tree it holds was generated
+// from the data it is asked about.
 #ifndef OSUM_CORE_PARTIALS_MEMO_H_
 #define OSUM_CORE_PARTIALS_MEMO_H_
 
@@ -58,19 +55,18 @@ struct PartialsMemoOptions {
 };
 
 /// Point-in-time counters. Monotonic except entries/approx_bytes
-/// (current occupancy) and epoch.
+/// (current occupancy).
 struct PartialsMemoMetrics {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t inserts = 0;
-  /// Completed computations whose insert was dropped because the epoch
-  /// moved since their lookup, or because another thread filled the key
-  /// first.
+  /// Completed computations whose insert was dropped because another
+  /// thread filled the key first: two threads may generate the same
+  /// subject's tree at once, and the memo does not coalesce them.
   uint64_t discarded_inserts = 0;
   uint64_t evictions = 0;
   uint64_t entries = 0;
   uint64_t approx_bytes = 0;
-  uint64_t epoch = 0;
 };
 
 /// Thread-safe LRU memo. One lock — entries are shared_ptr copies, so the
@@ -84,20 +80,13 @@ class PartialsMemo {
   PartialsMemo& operator=(const PartialsMemo&) = delete;
 
   /// Returns the memoized tree and marks it most-recently used, or
-  /// nullptr on a miss. `epoch_out` (if non-null) receives the epoch
-  /// observed under the lock — pass it back to Insert so a rebind between
-  /// lookup and insert invalidates the computation.
-  PartialPtr Lookup(const std::string& key, uint64_t* epoch_out = nullptr);
+  /// nullptr on a miss.
+  PartialPtr Lookup(const std::string& key);
 
   /// Publishes a generated tree. Discarded (returns false) if the memo
-  /// is disabled, the epoch moved since `epoch_at_lookup`, or the key was
-  /// filled meanwhile. Evicts LRU entries over budget.
-  bool Insert(const std::string& key, PartialPtr value,
-              uint64_t epoch_at_lookup);
-
-  /// Invalidation: clears every entry and advances the epoch so in-flight
-  /// inserts against the old generation are discarded.
-  void BumpEpoch();
+  /// is disabled or the key was filled meanwhile. Evicts LRU entries over
+  /// budget.
+  bool Insert(const std::string& key, PartialPtr value);
 
   /// Applies a new sizing configuration (evicting down if it shrank).
   void Configure(const PartialsMemoOptions& options);
@@ -109,7 +98,6 @@ class PartialsMemo {
   mutable util::Mutex mu_;
   bool enabled_ GUARDED_BY(mu_);
   util::BoundedLru<PartialPtr> lru_ GUARDED_BY(mu_);
-  uint64_t epoch_ GUARDED_BY(mu_) = 0;
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
   uint64_t inserts_ GUARDED_BY(mu_) = 0;

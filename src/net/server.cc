@@ -129,14 +129,7 @@ bool Server::Shutdown() {
   loop_role_.BindToCurrentThread();
   loop_role_.AssertHeld();
   for (auto& [id, conn] : connections_) {
-    uint64_t undispatched = 0;
-    while (conn->frames.HasCompleteFrame() && conn->frames.Next()) {
-      ++undispatched;
-    }
-    stats_.dropped_responses.fetch_add(
-        undispatched + conn->slots.size() +
-            (conn->outbound_offset < conn->outbound.size() ? 1 : 0),
-        std::memory_order_relaxed);
+    CountLostResponses(conn.get());
     ::close(conn->fd);
     stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -464,6 +457,15 @@ void Server::CloseConnection(uint64_t id) {
   auto it = connections_.find(id);
   if (it == connections_.end()) return;
   Connection* conn = it->second.get();
+  CountLostResponses(conn);
+  loop_.Remove(conn->fd);
+  loop_.DeferClose(conn->fd);
+  connections_.erase(it);
+  stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+  MaybeFinishDrain();
+}
+
+void Server::CountLostResponses(Connection* conn) {
   // Complete frames never dispatched die with the connection; drain them
   // into the drop count so frames_in-level accounting still reconciles
   // (they were never frames_in, but they were accepted bytes).
@@ -475,11 +477,6 @@ void Server::CloseConnection(uint64_t id) {
       undispatched + conn->slots.size() +
           (conn->outbound_offset < conn->outbound.size() ? 1 : 0),
       std::memory_order_relaxed);
-  loop_.Remove(conn->fd);
-  loop_.DeferClose(conn->fd);
-  connections_.erase(it);
-  stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-  MaybeFinishDrain();
 }
 
 void Server::BeginDrain() {

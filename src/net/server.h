@@ -35,14 +35,13 @@
 // behind the pool is, and expired work is shed (kDeadlineExceeded)
 // without compute.
 //
-// Shutdown. Graceful drain, the same pin-counted idea as
-// QueryService::RebindContext: stop accepting, stop reading, then wait
+// Shutdown. Graceful drain: stop accepting, stop reading, then wait
 // until every accepted request — dispatched, or complete in a
 // reassembler awaiting its round-robin turn — has been answered AND its
 // response bytes fully written, and only then stop the loop. Requests
 // still half-buffered in a reassembler are abandoned by design ("drain"
-// means finish what was accepted, not read more). A peer that refuses to drain
-// its socket forfeits after drain_timeout_ms and its undelivered
+// means finish what was accepted, not read more). A peer that refuses to
+// drain its socket forfeits after drain_timeout_ms and its undelivered
 // responses are counted, not silently lost.
 #ifndef OSUM_NET_SERVER_H_
 #define OSUM_NET_SERVER_H_
@@ -228,6 +227,11 @@ class Server {
   /// Recomputes and applies the connection's epoll interest set.
   void UpdateInterest(Connection* conn) REQUIRES(loop_role_);
   void CloseConnection(uint64_t id) REQUIRES(loop_role_);
+  /// Adds to stats_.dropped_responses every response a dying `conn` will
+  /// never deliver: complete frames never dispatched (drained from its
+  /// reassembler here), unanswered or unwritten slots, and a partly
+  /// written response.
+  void CountLostResponses(Connection* conn) REQUIRES(loop_role_);
   void BeginDrain() REQUIRES(loop_role_);
   /// Signals Shutdown once draining and no connection holds undelivered
   /// work.

@@ -1,9 +1,11 @@
 #include "relational/csv_io.h"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 namespace osum::rel {
@@ -22,6 +24,17 @@ const char* TypeToken(ValueType t) {
       break;
   }
   return "string";
+}
+
+// Parses the whole of `field` as a T; std::nullopt when any character is
+// left over ("12abc") or the value is out of range.
+template <typename T>
+std::optional<T> ParseNumber(const std::string& field) {
+  T value{};
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 std::optional<ValueType> ParseType(const std::string& token) {
@@ -158,20 +171,22 @@ bool ReadRelationCsv(std::istream& in, Relation* relation) {
         values[c] = Value{};  // NULL
         continue;
       }
-      try {
-        switch (schema.column(c).type) {
-          case ValueType::kInt:
-            values[c] = Value{static_cast<int64_t>(std::stoll(f))};
-            break;
-          case ValueType::kDouble:
-            values[c] = Value{std::stod(f)};
-            break;
-          default:
-            values[c] = Value{f};
-            break;
+      switch (schema.column(c).type) {
+        case ValueType::kInt: {
+          std::optional<int64_t> v = ParseNumber<int64_t>(f);
+          if (!v.has_value()) return false;  // not wholly an int64
+          values[c] = Value{*v};
+          break;
         }
-      } catch (const std::exception&) {
-        return false;  // non-numeric text in a numeric column
+        case ValueType::kDouble: {
+          std::optional<double> v = ParseNumber<double>(f);
+          if (!v.has_value()) return false;  // not wholly a double
+          values[c] = Value{*v};
+          break;
+        }
+        default:
+          values[c] = Value{f};
+          break;
       }
     }
     relation->Append(std::move(values));
@@ -265,6 +280,11 @@ std::optional<Database> LoadDatabaseCsv(const std::string& dir) {
     } else if (kind == "fk") {
       PendingFk fk;
       ss >> fk.name >> fk.child >> fk.child_col >> fk.parent;
+      if (fk.parent.empty()) {  // the line ended before all four names
+        std::fprintf(stderr, "LoadDatabaseCsv: bad line '%s'\n",
+                     line.c_str());
+        return std::nullopt;
+      }
       fks.push_back(std::move(fk));
     } else {
       std::fprintf(stderr, "LoadDatabaseCsv: unknown declaration '%s'\n",
@@ -278,15 +298,23 @@ std::optional<Database> LoadDatabaseCsv(const std::string& dir) {
     db.AddRelation(p.name, std::move(p.schema), p.junction);
   }
   for (const PendingFk& fk : fks) {
-    RelationId child = db.GetRelationId(fk.child);
-    RelationId parent = db.GetRelationId(fk.parent);
-    auto col = db.relation(child).schema().FindColumn(fk.child_col);
+    // FindRelationId, not GetRelationId: an unknown name in a catalog is
+    // an input error, not a bug to abort on.
+    std::optional<RelationId> child = db.FindRelationId(fk.child);
+    std::optional<RelationId> parent = db.FindRelationId(fk.parent);
+    if (!child.has_value() || !parent.has_value()) {
+      std::fprintf(stderr, "LoadDatabaseCsv: fk '%s' names an unknown "
+                   "relation ('%s' -> '%s')\n",
+                   fk.name.c_str(), fk.child.c_str(), fk.parent.c_str());
+      return std::nullopt;
+    }
+    auto col = db.relation(*child).schema().FindColumn(fk.child_col);
     if (!col.has_value()) {
       std::fprintf(stderr, "LoadDatabaseCsv: fk column '%s' missing\n",
                    fk.child_col.c_str());
       return std::nullopt;
     }
-    db.AddForeignKey(fk.name, child, *col, parent);
+    db.AddForeignKey(fk.name, *child, *col, *parent);
   }
 
   for (RelationId r = 0; r < db.num_relations(); ++r) {

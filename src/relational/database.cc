@@ -34,13 +34,20 @@ ForeignKeyId Database::AddForeignKey(std::string name, RelationId child,
   return id;
 }
 
-RelationId Database::GetRelationId(const std::string& name) const {
+std::optional<RelationId> Database::FindRelationId(
+    const std::string& name) const {
   auto it = relations_by_name_.find(name);
-  if (it == relations_by_name_.end()) {
+  if (it == relations_by_name_.end()) return std::nullopt;
+  return it->second;
+}
+
+RelationId Database::GetRelationId(const std::string& name) const {
+  std::optional<RelationId> id = FindRelationId(name);
+  if (!id.has_value()) {
     std::fprintf(stderr, "Database: no relation named '%s'\n", name.c_str());
     std::abort();
   }
-  return it->second;
+  return *id;
 }
 
 Relation& Database::GetRelation(const std::string& name) {

@@ -63,6 +63,8 @@ class Database {
   Relation& relation(RelationId id) { return *relations_[id]; }
   const Relation& relation(RelationId id) const { return *relations_[id]; }
 
+  /// By-name lookup; std::nullopt if missing.
+  std::optional<RelationId> FindRelationId(const std::string& name) const;
   /// By-name lookup; aborts if missing (loader bugs fail fast).
   RelationId GetRelationId(const std::string& name) const;
   Relation& GetRelation(const std::string& name);

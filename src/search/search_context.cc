@@ -74,9 +74,8 @@ SearchContext SearchContext::Build(const rel::Database& db,
   ctx.subject_order_.reserve(subjects.size());
   for (Subject& s : subjects) {
     // Checked in every build type: a duplicate would list the relation
-    // twice in subject_order_ (TakeSubjects would then move one G_DS out
-    // twice), and a mis-rooted G_DS would generate OSs from the wrong
-    // relation.
+    // twice in subject_order_ (and so index its tuples twice), and a
+    // mis-rooted G_DS would generate OSs from the wrong relation.
     if (s.gds.root_relation() != s.relation) {
       throw std::invalid_argument(
           "SearchContext::Build: G_DS rooted at relation " +
@@ -98,17 +97,6 @@ const gds::Gds& SearchContext::GdsFor(rel::RelationId relation) const {
   // at(): an unregistered relation throws std::out_of_range determin-
   // istically instead of being release-mode UB.
   return subjects_.at(relation);
-}
-
-std::vector<SearchContext::Subject> SearchContext::TakeSubjects() && {
-  std::vector<Subject> out;
-  out.reserve(subject_order_.size());
-  for (rel::RelationId r : subject_order_) {
-    out.push_back(Subject{r, std::move(subjects_.at(r))});
-  }
-  subjects_.clear();
-  subject_order_.clear();
-  return out;
 }
 
 std::vector<Hit> SearchContext::RankedHits(
@@ -146,10 +134,9 @@ core::OsTree SearchContext::AcquireOs(const Hit& hit,
   core::PartialsMemo& memo = *partials_memo_;
   const bool use_memo = memo.enabled();
   std::string memo_key;
-  uint64_t memo_epoch = 0;
   if (use_memo) {
     memo_key = PartialsKey(hit, prelim, prelim ? options.l : depth);
-    if (core::PartialPtr memoized = memo.Lookup(memo_key, &memo_epoch)) {
+    if (core::PartialPtr memoized = memo.Lookup(memo_key)) {
       // The memoized tree is exactly what generation below would produce
       // for this key — copying it keeps results byte-identical to the
       // memo-off path.
@@ -168,7 +155,7 @@ core::OsTree SearchContext::AcquireOs(const Hit& hit,
     partial->os = os;
     partial->approx_bytes =
         sizeof(core::PartialSynopsis) + os.ApproxHeapBytes();
-    memo.Insert(memo_key, std::move(partial), memo_epoch);
+    memo.Insert(memo_key, std::move(partial));
   }
   return os;
 }
@@ -200,7 +187,7 @@ api::QueryResponse SearchContext::Execute(
   if (!invalid.ok()) {
     return api::QueryResponse::Failure(std::move(invalid));
   }
-  api::QueryStats stats;  // uncached path: cache_hit false, epoch 0
+  api::QueryStats stats;  // uncached path: cache_hit false
   try {
     auto results = std::make_shared<api::ResultList>(
         Query(request.keywords(), request.options()));

@@ -101,16 +101,9 @@ class SearchContext {
   /// The partials memo of per-subject OS trees the query path consults
   /// before generating an OS (see partials_memo.h). Non-const through a
   /// const context because it is internally synchronized and invisible in
-  /// results; the serving layer configures it and bumps its epoch on
-  /// rebind.
+  /// results. It lives and dies with this context, so it never holds a
+  /// tree generated from other data.
   core::PartialsMemo& partials_memo() const { return *partials_memo_; }
-
-  /// Moves the registered subjects back out in registration order, leaving
-  /// the context empty — the deliberate rebuild flow: take the subjects
-  /// from a context you are about to discard, extend the set, Build a
-  /// fresh one, and RebindContext any serve::QueryService borrowing the
-  /// old context before destroying it.
-  std::vector<Subject> TakeSubjects() &&;
 
  private:
   SearchContext(const rel::Database& db, core::OsBackend* backend)

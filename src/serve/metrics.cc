@@ -12,8 +12,7 @@ std::string FormatMetricsReport(const Metrics& m) {
     out += buf;
   };
   append("queries %llu | hits %llu (%llu negative), misses %llu, "
-         "coalesced %llu | entries %llu (~%llu bytes), evictions %llu, "
-         "epoch %llu\n",
+         "coalesced %llu | entries %llu (~%llu bytes), evictions %llu\n",
          static_cast<unsigned long long>(m.queries),
          static_cast<unsigned long long>(m.cache.hits),
          static_cast<unsigned long long>(m.cache.negative_hits),
@@ -21,8 +20,7 @@ std::string FormatMetricsReport(const Metrics& m) {
          static_cast<unsigned long long>(m.cache.coalesced_waits),
          static_cast<unsigned long long>(m.cache.entries),
          static_cast<unsigned long long>(m.cache.approx_bytes),
-         static_cast<unsigned long long>(m.cache.evictions),
-         static_cast<unsigned long long>(m.cache.epoch));
+         static_cast<unsigned long long>(m.cache.evictions));
   append("policy: admission rejects %llu (%llu tracked), ttl expiries "
          "%llu positive + %llu negative\n",
          static_cast<unsigned long long>(m.cache.admission_rejects),
@@ -35,16 +33,14 @@ std::string FormatMetricsReport(const Metrics& m) {
          static_cast<unsigned long long>(m.sheds_at_dequeue),
          static_cast<unsigned long long>(m.pending_misses));
   append("partials: hits %llu, misses %llu, inserts %llu "
-         "(%llu discarded), evictions %llu | entries %llu (~%llu bytes), "
-         "epoch %llu\n",
+         "(%llu discarded), evictions %llu | entries %llu (~%llu bytes)\n",
          static_cast<unsigned long long>(m.partials.hits),
          static_cast<unsigned long long>(m.partials.misses),
          static_cast<unsigned long long>(m.partials.inserts),
          static_cast<unsigned long long>(m.partials.discarded_inserts),
          static_cast<unsigned long long>(m.partials.evictions),
          static_cast<unsigned long long>(m.partials.entries),
-         static_cast<unsigned long long>(m.partials.approx_bytes),
-         static_cast<unsigned long long>(m.partials.epoch));
+         static_cast<unsigned long long>(m.partials.approx_bytes));
   auto line = [&](const char* label, const util::Summary& s) {
     if (s.count() == 0) {
       append("  %-12s (no samples)\n", label);

@@ -20,7 +20,7 @@
 namespace osum::serve {
 
 /// Point-in-time counters of one ResultCache. Monotonic except
-/// entries/bytes/tracked_sightings (current occupancy) and epoch.
+/// entries/bytes/tracked_sightings (current occupancy).
 struct CacheMetrics {
   uint64_t hits = 0;
   /// The subset of hits whose cached value was a negative (OK-empty)
@@ -31,8 +31,8 @@ struct CacheMetrics {
   /// waited for its result instead of recomputing (stampede protection).
   uint64_t coalesced_waits = 0;
   uint64_t evictions = 0;
-  /// Completed computations whose insert was discarded because the epoch
-  /// moved (context rebuilt) or the key was already filled meanwhile.
+  /// Completed computations whose insert was discarded because the key
+  /// was already filled meanwhile (a safety check; coalescing keeps it 0).
   uint64_t discarded_inserts = 0;
   /// Computed results the doorkeeper declined to cache (first sighting
   /// within the admission window — the long-tail filter at work).
@@ -47,8 +47,6 @@ struct CacheMetrics {
   uint64_t approx_bytes = 0;
   /// Doorkeeper sightings currently remembered (admission bookkeeping).
   uint64_t tracked_sightings = 0;
-  /// Invalidation epoch (bumped by ResultCache::BumpEpoch).
-  uint64_t epoch = 0;
 };
 
 /// Snapshot of one QueryService: cache counters + per-query wall latency
@@ -57,10 +55,10 @@ struct CacheMetrics {
 /// samples), so Percentile stays O(window log window).
 struct Metrics {
   CacheMetrics cache;
-  /// The bound context's partials memo of per-subject OS trees, with
+  /// The served context's partials memo of per-subject OS trees, with
   /// size-l run per request — the reuse tier under the result cache
-  /// (core/partials_memo.h). Context-owned, not service-owned: rebinds
-  /// swap which memo is being reported.
+  /// (core/partials_memo.h). Context-owned, not service-owned: it lives
+  /// and dies with the context it memoizes.
   core::PartialsMemoMetrics partials;
   uint64_t queries = 0;
   /// Overload control (see OverloadOptions): requests answered

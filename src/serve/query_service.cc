@@ -37,25 +37,13 @@ util::Summary QueryService::LatencyRing::Snapshot() const {
   return s;
 }
 
-QueryService::PinnedContext::PinnedContext(QueryService* service)
-    : service_(service) {
-  util::MutexLock lock(service_->context_mu_);
-  binding_ = service_->binding_.get();
-  ++binding_->pins;
-}
-
-QueryService::PinnedContext::~PinnedContext() {
-  util::MutexLock lock(service_->context_mu_);
-  if (--binding_->pins == 0) service_->context_cv_.NotifyAll();
-}
-
 QueryService::QueryService(const search::SearchContext& context,
                            ServiceOptions options)
     : options_(options),
       clock_(options.cache.clock != nullptr
                  ? options.cache.clock
                  : std::shared_ptr<const Clock>(SystemClock::Instance())),
-      binding_(new Binding{&context, 0}),
+      context_(context),
       cache_(options.cache),
       pool_(options.num_threads == 0 ? util::ThreadPool::HardwareThreads()
                                      : options.num_threads) {}
@@ -125,12 +113,6 @@ void QueryService::AbandonMiss(const std::shared_ptr<MissTicket>& ticket) {
   --pending_misses_;
 }
 
-api::QueryResponse QueryService::Refuse(api::Status status) {
-  api::QueryStats stats;
-  stats.epoch = cache_.epoch();
-  return api::QueryResponse::Failure(std::move(status), stats);
-}
-
 api::QueryResponse QueryService::ExecuteWithKey(
     const api::QueryRequest& request, const std::string& key) {
   util::WallTimer timer;
@@ -142,17 +124,8 @@ api::QueryResponse QueryService::ExecuteWithKey(
     // string copy it would never use.
     ResultPtr result = cache_.GetOrCompute(key, [&]() -> CachedResult {
       computed = true;
-      // The context is pinned inside the compute callback, i.e. after
-      // GetOrCompute captured its epoch. Together with RebindContext's
-      // swap-then-bump order this makes a stale (old-context) result under
-      // a current epoch impossible: an old pin implies the bump has not
-      // happened yet, so the entry is wiped by the bump's clear. The pin
-      // also keeps the context destroyable-safe: RebindContext does not
-      // return (and so the caller cannot destroy the old context) until
-      // every pin on it is released.
-      PinnedContext ctx(this);
       CachedResult out;
-      out.results = ctx->Query(request.keywords(), request.options());
+      out.results = context_.Query(request.keywords(), request.options());
       out.approx_bytes = ApproxResultBytes(out.results);
       return out;
     });
@@ -161,11 +134,9 @@ api::QueryResponse QueryService::ExecuteWithKey(
     stats.cache_hit = !computed;
     stats.negative = result->negative();
     stats.compute_micros = micros;
-    stats.epoch = cache_.epoch();
     return api::QueryResponse::Success(AliasResults(result), stats);
   } catch (const std::exception& e) {
     stats.compute_micros = timer.ElapsedMicros();
-    stats.epoch = cache_.epoch();
     return api::QueryResponse::Failure(api::Status::BackendError(e.what()),
                                        stats);
   }
@@ -173,7 +144,7 @@ api::QueryResponse QueryService::ExecuteWithKey(
 
 api::QueryResponse QueryService::Execute(const api::QueryRequest& request) {
   api::StatusOr<std::string> key = request.ValidatedKey();
-  if (!key.ok()) return Refuse(key.status());
+  if (!key.ok()) return api::QueryResponse::Failure(key.status());
   return ExecuteWithKey(request, *key);
 }
 
@@ -182,7 +153,7 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
   util::WallTimer timer;
   api::StatusOr<std::string> key = request.ValidatedKey();
   if (!key.ok()) {
-    on_done(Refuse(key.status()));
+    on_done(api::QueryResponse::Failure(key.status()));
     return;
   }
   // Admission budget check, before the cache is even consulted: an
@@ -194,7 +165,7 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
       util::MutexLock lock(pending_mu_);
       ++sheds_at_admission_;
     }
-    on_done(Refuse(
+    on_done(api::QueryResponse::Failure(
         api::Status::DeadlineExceeded("deadline expired at admission")));
     return;
   }
@@ -205,7 +176,6 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
     stats.cache_hit = true;
     stats.negative = hit->negative();
     stats.compute_micros = micros;
-    stats.epoch = cache_.epoch();
     on_done(api::QueryResponse::Success(AliasResults(hit), stats));
     return;
   }
@@ -214,7 +184,7 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
   // pending miss to make room.
   std::shared_ptr<MissTicket> ticket;
   if (!AdmitMiss(deadline_micros, &ticket)) {
-    on_done(Refuse(api::Status::DeadlineExceeded(
+    on_done(api::QueryResponse::Failure(api::Status::DeadlineExceeded(
         "shed at admission: pool over watermark, lowest budget first")));
     return;
   }
@@ -228,12 +198,12 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
        on_done] {
         switch (BeginMiss(ticket)) {
           case MissGate::kShedByWatermark:
-            on_done(Refuse(api::Status::DeadlineExceeded(
+            on_done(api::QueryResponse::Failure(api::Status::DeadlineExceeded(
                 "shed while queued: pool over watermark, lowest budget "
                 "first")));
             return;
           case MissGate::kExpiredInQueue:
-            on_done(Refuse(api::Status::DeadlineExceeded(
+            on_done(api::QueryResponse::Failure(api::Status::DeadlineExceeded(
                 "deadline expired while queued")));
             return;
           case MissGate::kProceed:
@@ -247,38 +217,9 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
     // drain accounting forever. The never-run task also never consumes
     // its ticket, so roll the registration back here.
     AbandonMiss(ticket);
-    on_done(Refuse(api::Status::Internal("service shutting down")));
+    on_done(api::QueryResponse::Failure(
+        api::Status::Internal("service shutting down")));
   }
-}
-
-void QueryService::RebindContext(const search::SearchContext& context) {
-  std::unique_ptr<Binding> old;
-  {
-    util::MutexLock lock(context_mu_);
-    old = std::move(binding_);
-    binding_.reset(new Binding{&context, 0});
-  }
-  // Swap first, then bump. A racing query that pinned the old binding
-  // necessarily captured a pre-bump epoch, so its insert is either
-  // rejected (epoch moved) or wiped by the bump's clear — after BumpEpoch
-  // returns, stale results are unreachable (see result_cache.h).
-  cache_.BumpEpoch();
-  // Same discipline one tier down: flush the per-subject OS trees on
-  // both sides of the swap. The old context's memo (it may be rebound
-  // back, or still referenced elsewhere) holds trees about to go stale
-  // with its data; the new context's memo may hold partials from a life
-  // before an earlier rebind. In-flight queries pinned to the old binding
-  // captured pre-bump memo epochs, so their inserts are discarded.
-  old->ctx->partials_memo().BumpEpoch();
-  context.partials_memo().BumpEpoch();
-  // Drain. No new pin can reach `old` (binding_ no longer points to it),
-  // so wait for the in-flight ones to release; only once the count hits
-  // zero is the documented "caller may now destroy the old context" safe.
-  // Explicit predicate loop: `old->pins` is guarded by context_mu_ by
-  // convention (retired bindings are only touched under it), and the loop
-  // keeps that read inside the annotated critical section.
-  util::MutexLock lock(context_mu_);
-  while (old->pins != 0) context_cv_.Wait(context_mu_);
 }
 
 void QueryService::RecordLatency(bool hit, bool negative, double micros) {
@@ -294,12 +235,7 @@ void QueryService::RecordLatency(bool hit, bool negative, double micros) {
 Metrics QueryService::metrics() const {
   Metrics m;
   m.cache = cache_.metrics();
-  {
-    // Snapshot under context_mu_ so a concurrent rebind cannot swap the
-    // binding mid-read; the memo's own (leaf) lock orders the counters.
-    util::MutexLock lock(context_mu_);
-    m.partials = binding_->ctx->partials_memo().metrics();
-  }
+  m.partials = context_.partials_memo().metrics();
   {
     util::MutexLock lock(pending_mu_);
     m.sheds_at_admission = sheds_at_admission_;

@@ -16,18 +16,16 @@
 // by api::CanonicalQueryKey, so skewed workloads — the realistic shape of
 // keyword traffic — collapse onto one computation per distinct (keyword
 // set, options) pair. Failures are typed Status codes, never exceptions,
-// and response.stats reports cache hit/miss, wall time and the cache
-// epoch.
+// and response.stats reports cache hit/miss and wall time.
 //
 // Lifetime and threading contract:
-//   - The service *borrows* its SearchContext; the caller keeps it alive.
-//     All public methods are thread-safe.
-//   - When the context is rebuilt, call RebindContext(new_ctx) BEFORE
-//     destroying the old one: it swaps the pointer, bumps the cache
-//     epoch, and blocks until every in-flight query still executing
-//     against the old context has finished — once it returns, the old
-//     context is unreferenced by the service and no result computed
-//     against it is ever served, so the caller may destroy it.
+//   - The service *borrows* its SearchContext and serves that one context
+//     until it is destroyed; the caller keeps the context alive for the
+//     service's whole life. All public methods are thread-safe.
+//   - To serve a rebuilt context, shut the front end down, destroy the
+//     service, then the old context, and construct a new service over the
+//     new one. The result cache and the context's partials memo therefore
+//     never hold an entry computed from other data.
 //   - Destruction drains: misses already on the pool finish (and answer)
 //     before the service is gone.
 //   - Submit callbacks may run on worker threads and must not throw
@@ -78,8 +76,7 @@ struct ServiceOptions {
 
 class QueryService {
  public:
-  /// `context` must outlive the service (or be swapped out via
-  /// RebindContext before it dies).
+  /// `context` must outlive the service.
   explicit QueryService(const search::SearchContext& context,
                         ServiceOptions options = {});
 
@@ -114,29 +111,12 @@ class QueryService {
   void Submit(api::QueryRequest request, uint64_t deadline_micros,
               std::function<void(api::QueryResponse)> on_done);
 
-  /// Atomically redirects future queries to `context`, invalidates the
-  /// cache, and drains: blocks until every in-flight query still executing
-  /// against the previous context has finished. Once this returns, the
-  /// previous context is unreferenced by the service and no cached result
-  /// computed against it can be served; the caller may then destroy it.
-  void RebindContext(const search::SearchContext& context);
-
-  /// Drops cached entries without invalidating (memory relief).
-  void ClearCache() { cache_.Clear(); }
-
   /// Maintenance tick for the cache policy: erases expired entries and
   /// prunes stale doorkeeper sightings (see ResultCache::SweepExpired).
   /// Returns the number of entries erased. Optional — lazy expiry already
   /// guarantees expired entries are never served.
   size_t SweepExpiredCache() { return cache_.SweepExpired(); }
 
-  /// The currently bound context. The reference itself is not pinned —
-  /// it stays valid only under the caller's own lifetime coordination
-  /// (no concurrent RebindContext-then-destroy).
-  const search::SearchContext& context() const {
-    util::MutexLock lock(context_mu_);
-    return *binding_->ctx;
-  }
   size_t num_threads() const { return pool_.size(); }
 
   /// The time source deadlines are measured against: options.cache.clock,
@@ -149,32 +129,6 @@ class QueryService {
   Metrics metrics() const;
 
  private:
-  /// The bound context plus the number of queries currently executing
-  /// against it (both guarded by context_mu_). Queries pin the binding
-  /// for the duration of a compute; RebindContext retires a binding only
-  /// after its pins drain to zero, so "the caller may destroy the old
-  /// context once RebindContext returns" is safe, not just documented.
-  struct Binding {
-    const search::SearchContext* ctx = nullptr;
-    size_t pins = 0;
-  };
-
-  /// RAII pin on the currently bound context: between construction and
-  /// destruction the pinned context cannot be retired by RebindContext,
-  /// so it is safe to query even while a rebind is in progress.
-  class PinnedContext {
-   public:
-    explicit PinnedContext(QueryService* service);
-    ~PinnedContext();
-    PinnedContext(const PinnedContext&) = delete;
-    PinnedContext& operator=(const PinnedContext&) = delete;
-    const search::SearchContext* operator->() const { return binding_->ctx; }
-
-   private:
-    QueryService* const service_;
-    Binding* binding_;
-  };
-
   /// Fixed-capacity reservoir of the most recent samples (guarded by
   /// latency_mu_); keeps metrics() bounded under sustained traffic.
   struct LatencyRing {
@@ -186,8 +140,8 @@ class QueryService {
   };
 
   /// The one cache-aware compute path both entry points ride for a
-  /// pre-validated request: hit, coalesced wait, or inline compute under a
-  /// context pin. `key` is the request's canonical key (canonicalized
+  /// pre-validated request: hit, coalesced wait, or inline compute.
+  /// `key` is the request's canonical key (canonicalized
   /// exactly once per query — callers thread it through). Records
   /// hit/miss latency on success (negative answers attributed
   /// separately); backend failures become kBackendError and nothing is
@@ -231,10 +185,6 @@ class QueryService {
   void AbandonMiss(const std::shared_ptr<MissTicket>& ticket)
       EXCLUDES(pending_mu_);
 
-  /// A failure answered without compute (invalid, shed, shutting down),
-  /// stamped with the current cache epoch.
-  api::QueryResponse Refuse(api::Status status);
-
   void RecordLatency(bool hit, bool negative, double micros)
       EXCLUDES(latency_mu_);
 
@@ -252,10 +202,7 @@ class QueryService {
   uint64_t sheds_at_admission_ GUARDED_BY(pending_mu_) = 0;
   uint64_t sheds_at_dequeue_ GUARDED_BY(pending_mu_) = 0;
 
-  mutable util::Mutex context_mu_;
-  mutable util::CondVar context_cv_;  // signaled when pins hit 0
-  std::unique_ptr<Binding> binding_ GUARDED_BY(context_mu_)
-      PT_GUARDED_BY(context_mu_);
+  const search::SearchContext& context_;
 
   ResultCache cache_;
 

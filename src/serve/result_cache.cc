@@ -29,18 +29,8 @@ ResultCache::ResultCache(ResultCacheOptions options)
                      : std::max<size_t>(8 * options.max_entries, 64),
                  SIZE_MAX) {}
 
-std::string ResultCache::InternalKey(uint64_t epoch,
-                                     const std::string& key) const {
-  // 0x1d separates the epoch prefix from the caller key (which itself uses
-  // only 0x1e/0x1f as separators, see api::CanonicalQueryKey).
-  std::string ikey = std::to_string(epoch);
-  ikey += '\x1d';
-  ikey += key;
-  return ikey;
-}
-
-ResultPtr ResultCache::FindLive(const std::string& ikey) {
-  Lru::iterator it = entries_.Find(ikey);
+ResultPtr ResultCache::FindLive(const std::string& key) {
+  Lru::iterator it = entries_.Find(key);
   if (it == entries_.end() || EraseIfExpired(it)) return nullptr;
   entries_.Touch(it);
   ++hits_;
@@ -70,10 +60,10 @@ bool ResultCache::EraseExpiredAt(Lru::iterator it, uint64_t now) {
   return true;
 }
 
-bool ResultCache::AdmitOrRecordSighting(const std::string& ikey,
+bool ResultCache::AdmitOrRecordSighting(const std::string& key,
                                         uint64_t now) {
   if (!policy_.admission_enabled) return true;
-  auto it = sightings_.Find(ikey);
+  auto it = sightings_.Find(key);
   if (it != sightings_.end() &&
       (policy_.admission_window_micros == 0 ||  // 0 = sightings never age
        now < it->value + policy_.admission_window_micros)) {
@@ -83,7 +73,7 @@ bool ResultCache::AdmitOrRecordSighting(const std::string& ikey,
   }
   // First sighting, or one that aged out of the window: record/refresh
   // and reject.
-  sightings_.Put(ikey, now, 0);
+  sightings_.Put(key, now, 0);
   return false;
 }
 
@@ -95,16 +85,12 @@ uint64_t ResultCache::DeadlineFor(const CachedResult& value,
 }
 
 ResultPtr ResultCache::Lookup(const std::string& key) {
-  std::string ikey = InternalKey(epoch(), key);
   util::MutexLock lock(mu_);
-  return FindLive(ikey);
+  return FindLive(key);
 }
 
 ResultPtr ResultCache::GetOrCompute(
     const std::string& key, const std::function<CachedResult()>& compute) {
-  const uint64_t epoch_at_start = epoch();
-  std::string ikey = InternalKey(epoch_at_start, key);
-
   std::shared_ptr<std::promise<ResultPtr>> promise;
   // Set inside the lock scope, waited on after it: the coalesced path must
   // block outside the lock, and a scoped MutexLock (unlike the old
@@ -112,10 +98,10 @@ ResultPtr ResultCache::GetOrCompute(
   std::optional<std::shared_future<ResultPtr>> wait_on;
   {
     util::MutexLock lock(mu_);
-    if (ResultPtr hit = FindLive(ikey)) return hit;
+    if (ResultPtr hit = FindLive(key)) return hit;
     // Either never cached or just lazily expired — both are misses, and
     // both coalesce onto whoever computes the key first.
-    auto inflight = inflight_.find(ikey);
+    auto inflight = inflight_.find(key);
     if (inflight != inflight_.end()) {
       // Someone else is computing this key right now; wait for their
       // result outside the lock. The computing thread is guaranteed to be
@@ -126,7 +112,7 @@ ResultPtr ResultCache::GetOrCompute(
     } else {
       ++misses_;
       promise = std::make_shared<std::promise<ResultPtr>>();
-      inflight_.emplace(ikey, promise->get_future().share());
+      inflight_.emplace(key, promise->get_future().share());
     }
   }
   if (wait_on) return wait_on->get();
@@ -137,7 +123,7 @@ ResultPtr ResultCache::GetOrCompute(
   } catch (...) {
     {
       util::MutexLock lock(mu_);
-      inflight_.erase(ikey);
+      inflight_.erase(key);
     }
     promise->set_exception(std::current_exception());
     throw;
@@ -145,22 +131,20 @@ ResultPtr ResultCache::GetOrCompute(
 
   {
     util::MutexLock lock(mu_);
-    inflight_.erase(ikey);
-    // Publish only if the epoch still matches (a context rebuild must not
-    // resurrect results computed against the old context), nobody filled
-    // the key meanwhile (cannot normally happen — coalescing — but cheap
-    // to keep watertight), and the admission policy accepts the key (a
-    // first-sighted key is recorded, returned, and not cached).
-    if (epoch_.load(std::memory_order_acquire) != epoch_at_start ||
-        entries_.Find(ikey) != entries_.end()) {
+    inflight_.erase(key);
+    // Publish only if nobody filled the key meanwhile (cannot normally
+    // happen — coalescing — but cheap to keep watertight) and the
+    // admission policy accepts the key (a first-sighted key is recorded,
+    // returned, and not cached).
+    if (entries_.Find(key) != entries_.end()) {
       ++discarded_inserts_;
     } else {
       uint64_t now = clock_->NowMicros();
-      if (!AdmitOrRecordSighting(ikey, now)) {
+      if (!AdmitOrRecordSighting(key, now)) {
         ++admission_rejects_;
       } else {
-        entries_.Put(ikey, Entry{value, DeadlineFor(*value, now)},
-                     value->approx_bytes + ikey.size());
+        entries_.Put(key, Entry{value, DeadlineFor(*value, now)},
+                     value->approx_bytes + key.size());
       }
     }
   }
@@ -190,23 +174,8 @@ size_t ResultCache::SweepExpired() {
   return swept;
 }
 
-void ResultCache::Clear() {
-  util::MutexLock lock(mu_);
-  entries_.Clear();
-}
-
-uint64_t ResultCache::BumpEpoch() {
-  uint64_t next = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  // Old-epoch entries are unreachable already (epoch-prefixed keys); the
-  // clear releases their memory. Old-epoch sightings are likewise
-  // unreachable and age out via the cap and SweepExpired.
-  Clear();
-  return next;
-}
-
 CacheMetrics ResultCache::metrics() const {
   CacheMetrics m;
-  m.epoch = epoch();
   util::MutexLock lock(mu_);
   m.hits = hits_;
   m.negative_hits = negative_hits_;

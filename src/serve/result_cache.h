@@ -43,18 +43,12 @@
 //     shared_future. The computing caller runs `compute` inline on its own
 //     thread (never queued), so waiters can always make progress — safe
 //     even when every waiter is a thread-pool worker.
-//   - Invalidation: Clear drops committed entries (doorkeeper sightings
-//     survive — they are metadata, not results); BumpEpoch is the
-//     correctness barrier for context rebuilds. Internal keys are
-//     epoch-prefixed, so post-bump lookups can never see pre-bump values
-//     or join pre-bump in-flight computations; completed stale
-//     computations are discarded at insert time. After BumpEpoch returns,
-//     no value produced under an older epoch is ever served — regardless
-//     of any entry's remaining TTL.
+//   - No invalidation: a cache serves one immutable SearchContext for its
+//     whole life (see QueryService), so the canonical key is the cache
+//     key and an entry leaves only by LRU eviction or expiry.
 #ifndef OSUM_SERVE_RESULT_CACHE_H_
 #define OSUM_SERVE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -149,8 +143,8 @@ class ResultCache {
 
   /// Pure lookup: the cached value (counts a hit, refreshes recency) or
   /// nullptr. An expired entry is erased (counting an expiry, not a miss).
-  /// Counts no miss and never joins in-flight computations — the cheap
-  /// first pass of the batched path.
+  /// Counts no miss and never joins in-flight computations — the inline
+  /// hit check QueryService::Submit makes before queueing a miss.
   ResultPtr Lookup(const std::string& key);
 
   /// The sweep half of lazy-plus-sweep expiry: erases every expired entry
@@ -159,19 +153,6 @@ class ResultCache {
   /// from a maintenance tick; correctness never depends on it (lazy
   /// expiry already guarantees expired entries are unservable).
   size_t SweepExpired();
-
-  /// Drops every committed entry (memory relief, not invalidation:
-  /// computations already in flight may still publish afterwards, and
-  /// doorkeeper sightings survive).
-  void Clear();
-
-  /// Invalidation barrier: advances the epoch and drops every committed
-  /// entry. Once this returns, values produced under older epochs are
-  /// unreachable (epoch-prefixed keys) and their late inserts are
-  /// discarded. Returns the new epoch.
-  uint64_t BumpEpoch();
-
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   CacheMetrics metrics() const;
 
@@ -182,11 +163,10 @@ class ResultCache {
   };
   using Lru = util::BoundedLru<Entry>;
 
-  std::string InternalKey(uint64_t epoch, const std::string& key) const;
   /// The hit path shared by Lookup and GetOrCompute: the live entry for
-  /// `ikey` (refreshed and counted as a hit) or nullptr. An expired entry
+  /// `key` (refreshed and counted as a hit) or nullptr. An expired entry
   /// is erased on the way (see EraseIfExpired).
-  ResultPtr FindLive(const std::string& ikey) REQUIRES(mu_);
+  ResultPtr FindLive(const std::string& key) REQUIRES(mu_);
   /// True when `it`'s entry has a deadline the clock reached; erases it
   /// and counts the expiry when so. Reads the clock only for entries that
   /// actually carry a deadline, so the no-TTL hit path costs no clock
@@ -197,21 +177,18 @@ class ResultCache {
   /// The body of EraseIfExpired against a caller-supplied timestamp —
   /// SweepExpired reads the clock once per sweep, not once per entry.
   bool EraseExpiredAt(Lru::iterator it, uint64_t now) REQUIRES(mu_);
-  /// The doorkeeper decision for an insert of `ikey` at `now`: true
+  /// The doorkeeper decision for an insert of `key` at `now`: true
   /// admits (consuming the sighting), false records or refreshes a
   /// sighting and rejects.
-  bool AdmitOrRecordSighting(const std::string& ikey, uint64_t now)
+  bool AdmitOrRecordSighting(const std::string& key, uint64_t now)
       REQUIRES(mu_);
   /// Entry deadline for a value inserted at `now` (0 = never expires).
   uint64_t DeadlineFor(const CachedResult& value, uint64_t now) const;
 
   const CachePolicyOptions policy_;
   const std::shared_ptr<const Clock> clock_;
-  // Atomic so QueryService can stamp every response without the lock;
-  // BumpEpoch advances it before clearing under the lock.
-  std::atomic<uint64_t> epoch_{0};
 
-  /// Keys are epoch-prefixed internal keys. `sightings_` is the admission
+  /// Keys are canonical query keys. `sightings_` is the admission
   /// doorkeeper: key -> when it was computed but not admitted.
   mutable util::Mutex mu_;
   Lru entries_ GUARDED_BY(mu_);

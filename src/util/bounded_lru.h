@@ -12,7 +12,7 @@
 // key, so a lookup never allocates; a hit's recency refresh is a list
 // splice. There is no lock here: each owner guards its BoundedLru with its
 // own annotated util::Mutex (GUARDED_BY), so the tier's policy state
-// (in-flight futures, epochs, counters) shares that one critical section.
+// (in-flight futures, switches, counters) shares that one critical section.
 #ifndef OSUM_UTIL_BOUNDED_LRU_H_
 #define OSUM_UTIL_BOUNDED_LRU_H_
 

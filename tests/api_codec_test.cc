@@ -141,39 +141,6 @@ TEST(RequestCodecV2, DeadlineRequestsRoundTripInBothForms) {
   EXPECT_EQ(decoded->deadline_micros(), UINT64_MAX);
 }
 
-/// The version-pinned encoder refuses combinations the version cannot
-/// express — refusing beats silent truncation (a v1 peer that never sees
-/// the deadline would happily compute past it).
-TEST(RequestCodecV2, VersionPinnedEncoderRefusesWhatItCannotCarry) {
-  QueryRequest plain = QueryRequest("faloutsos").WithL(6);
-  QueryRequest with_deadline =
-      QueryRequest("faloutsos").WithL(6).WithDeadlineMicros(2'500);
-
-  // Pinning to the version the request naturally selects is byte-identical
-  // to the auto-picking encoder.
-  StatusOr<std::string> at_v1 = EncodeRequestAt(plain, kWireVersion);
-  ASSERT_TRUE(at_v1.ok()) << at_v1.status().ToString();
-  EXPECT_EQ(*at_v1, EncodeRequest(plain));
-  StatusOr<std::string> at_v2 =
-      EncodeRequestAt(with_deadline, kWireVersionDeadline);
-  ASSERT_TRUE(at_v2.ok()) << at_v2.status().ToString();
-  EXPECT_EQ(*at_v2, EncodeRequest(with_deadline));
-
-  // v1 cannot carry a deadline.
-  EXPECT_EQ(EncodeRequestAt(with_deadline, kWireVersion).status().code(),
-            StatusCode::kCodecError);
-  // v2 requires one, so every value has exactly one canonical encoding.
-  EXPECT_EQ(EncodeRequestAt(plain, kWireVersionDeadline).status().code(),
-            StatusCode::kCodecError);
-  // Unknown versions are typed errors, not aborts.
-  EXPECT_EQ(EncodeRequestAt(plain, 0).status().code(),
-            StatusCode::kCodecError);
-  EXPECT_EQ(EncodeRequestAt(plain, 3).status().code(),
-            StatusCode::kCodecError);
-  EXPECT_EQ(EncodeRequestAt(with_deadline, 999).status().code(),
-            StatusCode::kCodecError);
-}
-
 TEST(RequestCodecV2, ZeroDeadlineOnTheV2WireIsRejected) {
   std::string v2 =
       EncodeRequest(QueryRequest("faloutsos").WithL(6).WithDeadlineMicros(1));

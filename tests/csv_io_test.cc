@@ -88,6 +88,27 @@ TEST(RelationCsv, RejectsNonNumericInIntColumn) {
   EXPECT_FALSE(ReadRelationCsv(in, &r));
 }
 
+TEST(RelationCsv, RejectsTrailingGarbageInNumericColumns) {
+  Schema schema({{"x", ValueType::kInt, true},
+                 {"y", ValueType::kDouble, true}});
+  auto load = [&](const char* row) {
+    Relation r(0, "T", schema, false);
+    std::stringstream in(std::string("x,y\n") + row + "\n");
+    return ReadRelationCsv(in, &r);
+  };
+  EXPECT_TRUE(load("12,1.5"));
+  EXPECT_TRUE(load("-3,-2.5e-3"));
+  // A numeric field must be a number through to its last character.
+  EXPECT_FALSE(load("12abc,1.5kg"));
+  EXPECT_FALSE(load("12abc,1.5"));
+  EXPECT_FALSE(load("12,1.5kg"));
+  EXPECT_FALSE(load("12 ,1.5"));
+  EXPECT_FALSE(load("1.0,1.5"));  // a double in the int column
+  // Out of range stays an error.
+  EXPECT_FALSE(load("99999999999999999999,1.5"));
+  EXPECT_FALSE(load("12,1e999"));
+}
+
 TEST(DatabaseCsv, FullDblpRoundTrip) {
   datasets::DblpConfig config;
   config.num_authors = 60;
@@ -185,6 +206,23 @@ TEST(DatabaseCsv, LoadFailsOnCorruptCatalog) {
   std::filesystem::create_directories(dir);
   std::ofstream(dir + "/catalog.txt") << "gibberish here\n";
   EXPECT_FALSE(LoadDatabaseCsv(dir).has_value());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DatabaseCsv, LoadFailsOnUnknownFkRelation) {
+  std::string dir = TempDir("badfk");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/T.csv") << "x\n1\n";
+  const std::string base =
+      "relation T entity\ncolumn T x int display\n";
+  auto load = [&](const std::string& fk_line) {
+    std::ofstream(dir + "/catalog.txt") << base << fk_line;
+    return LoadDatabaseCsv(dir).has_value();
+  };
+  ASSERT_TRUE(load(""));  // the catalog itself is sound
+  EXPECT_FALSE(load("fk f T x Missing\n"));  // unknown parent
+  EXPECT_FALSE(load("fk f Missing x T\n"));  // unknown child
+  EXPECT_FALSE(load("fk f\n"));              // truncated line
   std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,6 @@
-// core::PartialsMemo: the bounded, epoch-aware memo of per-subject OS
-// trees the search query path consults. Unit tests pin the LRU/byte
-// budgets, the epoch discipline (a bump clears the memo AND kills
-// in-flight inserts), and the disabled no-op mode; the integration tests
+// core::PartialsMemo: the bounded memo of per-subject OS trees the search
+// query path consults. Unit tests pin the LRU/byte budgets, the lost-race
+// discard, and the disabled no-op mode; the integration tests
 // pin the load-bearing claim — memo-on and memo-off query answers are
 // byte-identical through DeterministicResultText, so the memo is
 // observable only through its own counters. The l-sweep tests are the
@@ -51,12 +50,10 @@ std::string NumberedKey(int i) {
 
 TEST(PartialsMemoTest, LookupReturnsTheInsertedValue) {
   PartialsMemo memo;
-  uint64_t epoch = 99;
-  EXPECT_EQ(memo.Lookup("k1", &epoch), nullptr);
-  EXPECT_EQ(epoch, 0u);
+  EXPECT_EQ(memo.Lookup("k1"), nullptr);
 
   PartialPtr value = MakePartial(100);
-  EXPECT_TRUE(memo.Insert("k1", value, epoch));
+  EXPECT_TRUE(memo.Insert("k1", value));
   EXPECT_EQ(memo.Lookup("k1"), value);
 
   PartialsMemoMetrics m = memo.metrics();
@@ -72,7 +69,7 @@ TEST(PartialsMemoTest, EntryBudgetEvictsLeastRecentlyUsed) {
   options.max_entries = 3;
   PartialsMemo memo(options);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(memo.Insert(NumberedKey(i), MakePartial(10), 0));
+    ASSERT_TRUE(memo.Insert(NumberedKey(i), MakePartial(10)));
   }
   PartialsMemoMetrics m = memo.metrics();
   EXPECT_EQ(m.entries, 3u);
@@ -90,11 +87,11 @@ TEST(PartialsMemoTest, LookupRefreshesLruPosition) {
   PartialsMemoOptions options;
   options.max_entries = 2;
   PartialsMemo memo(options);
-  ASSERT_TRUE(memo.Insert("old", MakePartial(10), 0));
-  ASSERT_TRUE(memo.Insert("mid", MakePartial(10), 0));
+  ASSERT_TRUE(memo.Insert("old", MakePartial(10)));
+  ASSERT_TRUE(memo.Insert("mid", MakePartial(10)));
   // Touch "old" so "mid" becomes the eviction victim.
   ASSERT_NE(memo.Lookup("old"), nullptr);
-  ASSERT_TRUE(memo.Insert("new", MakePartial(10), 0));
+  ASSERT_TRUE(memo.Insert("new", MakePartial(10)));
   EXPECT_NE(memo.Lookup("old"), nullptr);
   EXPECT_EQ(memo.Lookup("mid"), nullptr);
   EXPECT_NE(memo.Lookup("new"), nullptr);
@@ -104,8 +101,8 @@ TEST(PartialsMemoTest, ByteBudgetEvictsButKeepsTheNewestEntry) {
   PartialsMemoOptions options;
   options.max_bytes = 100;
   PartialsMemo memo(options);
-  ASSERT_TRUE(memo.Insert("a", MakePartial(60), 0));
-  ASSERT_TRUE(memo.Insert("b", MakePartial(60), 0));  // evicts "a"
+  ASSERT_TRUE(memo.Insert("a", MakePartial(60)));
+  ASSERT_TRUE(memo.Insert("b", MakePartial(60)));  // evicts "a"
   PartialsMemoMetrics m = memo.metrics();
   EXPECT_EQ(m.entries, 1u);
   EXPECT_EQ(m.evictions, 1u);
@@ -114,38 +111,17 @@ TEST(PartialsMemoTest, ByteBudgetEvictsButKeepsTheNewestEntry) {
 
   // One oversized synopsis may exceed the whole budget, but the insert
   // must not be a self-defeating no-op: the newest entry always survives.
-  ASSERT_TRUE(memo.Insert("huge", MakePartial(10'000), 0));
+  ASSERT_TRUE(memo.Insert("huge", MakePartial(10'000)));
   m = memo.metrics();
   EXPECT_EQ(m.entries, 1u);
   EXPECT_NE(memo.Lookup("huge"), nullptr);
 }
 
-TEST(PartialsMemoTest, BumpEpochClearsEntriesAndKillsInFlightInserts) {
-  PartialsMemo memo;
-  uint64_t epoch = 0;
-  memo.Lookup("k1", &epoch);  // miss; captures epoch 0
-  ASSERT_TRUE(memo.Insert("k1", MakePartial(10), epoch));
-
-  memo.BumpEpoch();
-  PartialsMemoMetrics m = memo.metrics();
-  EXPECT_EQ(m.entries, 0u);
-  EXPECT_EQ(m.epoch, 1u);
-  EXPECT_EQ(memo.Lookup("k1"), nullptr);
-
-  // An insert computed against the pre-bump epoch must be discarded, not
-  // resurrected: a stale partial can never decorate a post-rebind answer.
-  EXPECT_FALSE(memo.Insert("k1", MakePartial(10), epoch));
-  m = memo.metrics();
-  EXPECT_EQ(m.entries, 0u);
-  EXPECT_EQ(m.discarded_inserts, 1u);
-  EXPECT_EQ(memo.Lookup("k1"), nullptr);
-}
-
 TEST(PartialsMemoTest, DuplicateInsertLosesToTheExistingEntry) {
   PartialsMemo memo;
   PartialPtr first = MakePartial(10);
-  ASSERT_TRUE(memo.Insert("k", first, 0));
-  EXPECT_FALSE(memo.Insert("k", MakePartial(10), 0));
+  ASSERT_TRUE(memo.Insert("k", first));
+  EXPECT_FALSE(memo.Insert("k", MakePartial(10)));
   PartialsMemoMetrics m = memo.metrics();
   EXPECT_EQ(m.inserts, 1u);
   EXPECT_EQ(m.discarded_inserts, 1u);
@@ -155,7 +131,7 @@ TEST(PartialsMemoTest, DuplicateInsertLosesToTheExistingEntry) {
 TEST(PartialsMemoTest, ConfigureShrinkEvictsDownToTheNewBudget) {
   PartialsMemo memo;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(memo.Insert(NumberedKey(i), MakePartial(10), 0));
+    ASSERT_TRUE(memo.Insert(NumberedKey(i), MakePartial(10)));
   }
   PartialsMemoOptions smaller;
   smaller.max_entries = 2;
@@ -169,7 +145,7 @@ TEST(PartialsMemoTest, ConfigureShrinkEvictsDownToTheNewBudget) {
 
 TEST(PartialsMemoTest, DisabledMemoIsInert) {
   PartialsMemo memo;
-  ASSERT_TRUE(memo.Insert("k", MakePartial(10), 0));
+  ASSERT_TRUE(memo.Insert("k", MakePartial(10)));
 
   PartialsMemoOptions off;
   off.enabled = false;
@@ -180,7 +156,7 @@ TEST(PartialsMemoTest, DisabledMemoIsInert) {
 
   // Lookups miss without counting, inserts are no-ops.
   EXPECT_EQ(memo.Lookup("k"), nullptr);
-  EXPECT_FALSE(memo.Insert("k", MakePartial(10), 0));
+  EXPECT_FALSE(memo.Insert("k", MakePartial(10)));
   m = memo.metrics();
   EXPECT_EQ(m.misses, 0u);
   EXPECT_EQ(m.inserts, 1u);  // only the pre-disable insert
@@ -246,26 +222,6 @@ TEST(PartialsMemoIntegration, OverlappingQueriesShareSubjectWork) {
   ASSERT_FALSE(ctx.Query("christos faloutsos", options).empty());
   PartialsMemoMetrics warm = ctx.partials_memo().metrics();
   EXPECT_GT(warm.hits, 0u);
-}
-
-TEST(PartialsMemoIntegration, BumpEpochForcesRecomputeWithIdenticalResults) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  api::QueryOptions options;
-  options.l = 5;
-
-  std::string golden = DeterministicResultText(ctx.Query("databases", options));
-  PartialsMemoMetrics before = ctx.partials_memo().metrics();
-
-  ctx.partials_memo().BumpEpoch();
-  EXPECT_EQ(ctx.partials_memo().metrics().entries, 0u);
-
-  // Post-bump the query recomputes (misses grow, no new hits) and the
-  // answer is unchanged.
-  EXPECT_EQ(DeterministicResultText(ctx.Query("databases", options)), golden);
-  PartialsMemoMetrics after = ctx.partials_memo().metrics();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_GT(after.misses, before.misses);
 }
 
 TEST(PartialsMemoIntegration, DistinctLAndAlgorithmDoNotCollide) {

@@ -191,7 +191,7 @@ TEST(Engine, RenderShowsSubjectAndIndentation) {
 
 TEST(SearchContext, BuildRejectsARelationRegisteredTwice) {
   // A duplicate would list the relation twice in registration order, and
-  // TakeSubjects would then hand back a moved-from G_DS.
+  // so index its tuples twice.
   Dblp d = SearchFixture::MakeDblp();
   core::DataGraphBackend backend(d.db, d.links, d.data_graph);
   std::vector<SearchContext::Subject> subjects;
@@ -209,38 +209,6 @@ TEST(SearchContext, BuildRejectsAGdsRootedAtAnotherRelation) {
   subjects.push_back({d.paper, DblpAuthorGds(d)});
   EXPECT_THROW(SearchContext::Build(d.db, &backend, std::move(subjects)),
                std::invalid_argument);
-}
-
-TEST(SearchContext, TakeSubjectsFeedsAFreshBuild) {
-  // The documented rebuild flow (see search_context.h): take the subjects
-  // out of a context you are about to discard, extend the set, and Build a
-  // fresh richer context from them.
-  Dblp d = SearchFixture::MakeDblp();
-  core::DataGraphBackend backend(d.db, d.links, d.data_graph);
-  std::vector<SearchContext::Subject> subjects;
-  subjects.push_back({d.author, DblpAuthorGds(d)});
-  SearchContext old_ctx =
-      SearchContext::Build(d.db, &backend, std::move(subjects));
-  ASSERT_FALSE(old_ctx.Query("faloutsos").empty());
-
-  std::vector<SearchContext::Subject> taken =
-      std::move(old_ctx).TakeSubjects();
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].relation, d.author);
-  // The drained context is left empty, as documented.
-  EXPECT_THROW(old_ctx.GdsFor(d.author), std::out_of_range);
-
-  taken.push_back({d.paper, DblpPaperGds(d)});
-  SearchContext fresh =
-      SearchContext::Build(d.db, &backend, std::move(taken));
-  // The moved-out GDS still answers in the rebuilt context, and the
-  // extension genuinely widened coverage to paper subjects.
-  EXPECT_FALSE(fresh.Query("faloutsos").empty());
-  bool has_paper = false;
-  for (const QueryResult& r : fresh.Query("power law")) {
-    has_paper |= r.subject.relation == d.paper;
-  }
-  EXPECT_TRUE(has_paper);
 }
 
 TEST(CanonicalQueryKey, NormalizesKeywordSetAndSeparatesOptions) {

@@ -2,15 +2,15 @@
 //
 // A straight-line, single-threaded reference model reimplements the
 // cache's documented semantics — LRU recency and eviction, entry/byte
-// budgets, epoch-prefixed keys, TTL + negative-TTL lazy/sweep expiry, and
-// the doorkeeper admission filter — in ~100 lines of obviously-correct
-// code. Seeded random op sequences (get / insert / clock-advance / sweep /
-// clear / bump-epoch) then run against BOTH implementations and every
-// observable must match exactly after every step: hit/miss outcomes,
-// returned values, admission decisions, expiry attribution, eviction
-// counts, and occupancy. LRU order is verified observationally: under
-// tight budgets any order divergence changes a later eviction victim and
-// therefore a later hit/miss outcome.
+// budgets, TTL + negative-TTL lazy/sweep expiry, and the doorkeeper
+// admission filter — in ~100 lines of obviously-correct code. Seeded
+// random op sequences (get / insert / clock-advance / sweep) then run
+// against BOTH implementations and every observable must match exactly
+// after every step: hit/miss outcomes, returned values, admission
+// decisions, expiry attribution, eviction counts, and occupancy. LRU
+// order is verified observationally: under tight budgets any order
+// divergence changes a later eviction victim and therefore a later
+// hit/miss outcome.
 //
 // Time comes from a FakeClock, so every TTL/window behavior is exercised
 // deterministically with zero sleeps; the whole harness is single-
@@ -55,7 +55,7 @@ class ModelCache {
   void set_now(uint64_t now_micros) { now_ = now_micros; }
 
   std::optional<ModelOutcome> Lookup(const std::string& key) {
-    auto it = Find(InternalKey(key));
+    auto it = Find(key);
     if (it == lru_.end()) return std::nullopt;
     if (EraseIfExpired(it)) return std::nullopt;
     lru_.splice(lru_.begin(), lru_, it);
@@ -66,8 +66,7 @@ class ModelCache {
 
   ModelOutcome GetOrCompute(const std::string& key, size_t approx,
                             bool negative) {
-    std::string ikey = InternalKey(key);
-    auto it = Find(ikey);
+    auto it = Find(key);
     if (it != lru_.end() && !EraseIfExpired(it)) {
       lru_.splice(lru_.begin(), lru_, it);
       ++hits;
@@ -75,12 +74,12 @@ class ModelCache {
       return ModelOutcome{true, it->approx, it->negative};
     }
     ++misses;
-    if (!AdmitOrRecordSighting(ikey)) {
+    if (!AdmitOrRecordSighting(key)) {
       ++admission_rejects;
     } else {
       uint64_t ttl =
           negative ? policy_.negative_ttl_micros : policy_.ttl_micros;
-      lru_.push_front(Entry{ikey, approx, approx + ikey.size(),
+      lru_.push_front(Entry{key, approx, approx + key.size(),
                             ttl == 0 ? 0 : now_ + ttl, negative});
       bytes_ += lru_.front().bytes;
       while (lru_.size() > 1 &&
@@ -107,48 +106,30 @@ class ModelCache {
     return swept;
   }
 
-  void Clear() {
-    lru_.clear();
-    bytes_ = 0;
-  }
-
-  void BumpEpoch() {
-    ++epoch;
-    Clear();
-  }
-
   // Observables compared against CacheMetrics after every op.
   uint64_t hits = 0, negative_hits = 0, misses = 0, evictions = 0;
   uint64_t ttl_expiries = 0, negative_ttl_expiries = 0;
   uint64_t admission_rejects = 0;
-  uint64_t epoch = 0;
   size_t entries() const { return lru_.size(); }
   size_t bytes() const { return bytes_; }
   size_t tracked_sightings() const { return sightings_.size(); }
 
  private:
   struct Entry {
-    std::string ikey;
+    std::string key;
     size_t approx = 0;
     size_t bytes = 0;
     uint64_t deadline = 0;
     bool negative = false;
   };
   struct Sighting {
-    std::string ikey;
+    std::string key;
     uint64_t seen = 0;
   };
 
-  std::string InternalKey(const std::string& key) const {
-    std::string ikey = std::to_string(epoch);
-    ikey += '\x1d';
-    ikey += key;
-    return ikey;
-  }
-
-  std::list<Entry>::iterator Find(const std::string& ikey) {
+  std::list<Entry>::iterator Find(const std::string& key) {
     for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-      if (it->ikey == ikey) return it;
+      if (it->key == key) return it;
     }
     return lru_.end();
   }
@@ -158,27 +139,27 @@ class ModelCache {
     (it->negative ? negative_ttl_expiries : ttl_expiries)++;
     // Expiry re-seeds the doorkeeper (the cache does the same): the
     // erased key's first recompute is re-admitted.
-    if (policy_.admission_enabled) RecordSighting(it->ikey);
+    if (policy_.admission_enabled) RecordSighting(it->key);
     bytes_ -= it->bytes;
     lru_.erase(it);
     return true;
   }
 
-  void RecordSighting(const std::string& ikey) {
+  void RecordSighting(const std::string& key) {
     for (auto it = sightings_.begin(); it != sightings_.end(); ++it) {
-      if (it->ikey != ikey) continue;
+      if (it->key != key) continue;
       it->seen = now_;
       sightings_.splice(sightings_.begin(), sightings_, it);
       return;
     }
-    sightings_.push_front(Sighting{ikey, now_});
+    sightings_.push_front(Sighting{key, now_});
     if (sightings_.size() > max_tracked_) sightings_.pop_back();
   }
 
-  bool AdmitOrRecordSighting(const std::string& ikey) {
+  bool AdmitOrRecordSighting(const std::string& key) {
     if (!policy_.admission_enabled) return true;
     for (auto it = sightings_.begin(); it != sightings_.end(); ++it) {
-      if (it->ikey != ikey) continue;
+      if (it->key != key) continue;
       if (policy_.admission_window_micros == 0 ||  // 0 = never ages
           now_ < it->seen + policy_.admission_window_micros) {
         sightings_.erase(it);
@@ -186,7 +167,7 @@ class ModelCache {
       }
       break;  // aged out: fall through to record/refresh + reject
     }
-    RecordSighting(ikey);
+    RecordSighting(key);
     return false;
   }
 
@@ -264,7 +245,6 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
     ASSERT_EQ(m.entries, model.entries()) << when;
     ASSERT_EQ(m.approx_bytes, model.bytes()) << when;
     ASSERT_EQ(m.tracked_sightings, model.tracked_sightings()) << when;
-    ASSERT_EQ(m.epoch, model.epoch) << when;
     // Single-threaded: the concurrency-only counters must stay zero.
     ASSERT_EQ(m.coalesced_waits, 0u) << when;
     ASSERT_EQ(m.discarded_inserts, 0u) << when;
@@ -303,14 +283,8 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
     } else if (dice < 85) {
       clock->AdvanceMicros(deltas[rng.NextU64(std::size(deltas))]);
       model.set_now(clock->NowMicros());
-    } else if (dice < 91) {
-      ASSERT_EQ(cache.SweepExpired(), model.SweepExpired());
-    } else if (dice < 96) {
-      cache.Clear();
-      model.Clear();
     } else {
-      cache.BumpEpoch();
-      model.BumpEpoch();
+      ASSERT_EQ(cache.SweepExpired(), model.SweepExpired());
     }
     ASSERT_NO_FATAL_FAILURE(check_counters("after op"));
   }
@@ -338,8 +312,8 @@ CachePolicyOptions FullPolicy() {
 }
 
 TEST(ResultCachePropertyHarness, LegacyPolicyMatchesModel) {
-  // No TTLs, no admission: the seed-era contract (LRU + budgets + epochs)
-  // must be bit-compatible with the model.
+  // No TTLs, no admission: the seed-era contract (LRU + budgets) must be
+  // bit-compatible with the model.
   HarnessConfig config{"legacy", 6, 1500, CachePolicyOptions{}};
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     RunSequence(config, seed, 1200);

@@ -1,5 +1,5 @@
 // ResultCache unit behavior: LRU recency and eviction order, byte-budget
-// enforcement, epoch invalidation, exception safety, the cache policy
+// enforcement, exception safety, the cache policy
 // (doorkeeper admission, TTL + negative-TTL expiry on a FakeClock — zero
 // sleeps), and the stampede guarantee (N concurrent misses for one key =>
 // exactly 1 compute, preserved across TTL expiry) — the stress tests
@@ -85,15 +85,14 @@ TEST(ResultCacheLru, HitRefreshesRecencyViaGetOrCompute) {
 }
 
 TEST(ResultCacheBudget, BytesEvictOldestUntilUnderCap) {
-  // Entry weight = approx_bytes + internal key size; internal keys are the
-  // 2-byte caller keys plus the 2-byte epoch prefix "0\x1d" here.
+  // Entry weight = approx_bytes + key size; the keys are 2 bytes here.
   ResultCache cache(Budgets(/*max_entries=*/64, /*max_bytes=*/1000));
-  cache.GetOrCompute("k1", [] { return Payload(396); });  // 400
-  cache.GetOrCompute("k2", [] { return Payload(396); });  // 800
+  cache.GetOrCompute("k1", [] { return Payload(398); });  // 400
+  cache.GetOrCompute("k2", [] { return Payload(398); });  // 800
   EXPECT_EQ(cache.metrics().approx_bytes, 800u);
   EXPECT_EQ(cache.metrics().evictions, 0u);
 
-  cache.GetOrCompute("k3", [] { return Payload(396); });  // 1200 -> evict k1
+  cache.GetOrCompute("k3", [] { return Payload(398); });  // 1200 -> evict k1
   CacheMetrics m = cache.metrics();
   EXPECT_EQ(m.approx_bytes, 800u);
   EXPECT_EQ(m.entries, 2u);
@@ -116,38 +115,6 @@ TEST(ResultCacheBudget, OversizedEntrySurvivesItsOwnInsertOnly) {
   cache.GetOrCompute("k2", [] { return Payload(398); });
   EXPECT_EQ(cache.Lookup("xl"), nullptr);
   EXPECT_NE(cache.Lookup("k2"), nullptr);
-}
-
-TEST(ResultCacheEpoch, BumpInvalidatesCommittedEntries) {
-  ResultCache cache(Budgets(64, 1 << 30));
-  ResultPtr v1 = cache.GetOrCompute("q", [] { return Payload(7); });
-  EXPECT_NE(cache.Lookup("q"), nullptr);
-
-  EXPECT_EQ(cache.BumpEpoch(), 1u);
-  EXPECT_EQ(cache.epoch(), 1u);
-  EXPECT_EQ(cache.Lookup("q"), nullptr);
-  EXPECT_EQ(cache.metrics().entries, 0u);
-
-  // Recompute under the new epoch produces a distinct cached object.
-  ResultPtr v2 = cache.GetOrCompute("q", [] { return Payload(7); });
-  EXPECT_NE(v1.get(), v2.get());
-  EXPECT_EQ(cache.metrics().misses, 2u);
-}
-
-TEST(ResultCacheEpoch, InFlightComputeAcrossBumpIsDiscardedNotServed) {
-  ResultCache cache(Budgets(64, 1 << 30));
-  // The epoch moves while the compute is in flight: the caller still gets
-  // its freshly computed value, but nothing is published.
-  ResultPtr v = cache.GetOrCompute("q", [&] {
-    cache.BumpEpoch();
-    return Payload(7);
-  });
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->approx_bytes, 7u);
-  CacheMetrics m = cache.metrics();
-  EXPECT_EQ(m.entries, 0u);
-  EXPECT_EQ(m.discarded_inserts, 1u);
-  EXPECT_EQ(cache.Lookup("q"), nullptr);
 }
 
 TEST(ResultCacheErrors, ComputeExceptionPropagatesAndCachesNothing) {
@@ -431,25 +398,6 @@ TEST(ResultCacheAdmission, ExpiredHotKeyReadmitsOnFirstRecompute) {
   cache.GetOrCompute("q", [] { return PositivePayload(3); });
   EXPECT_EQ(cache.metrics().entries, 1u);
   EXPECT_EQ(cache.metrics().admission_rejects, 1u);
-}
-
-TEST(ResultCacheEpoch, BumpInvalidatesRegardlessOfRemainingTtl) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.ttl_micros = 1'000'000;  // a whole fake second of validity
-  ResultCache cache(WithPolicy(policy, clock));
-
-  cache.GetOrCompute("q", [] { return PositivePayload(7); });
-  EXPECT_NE(cache.Lookup("q"), nullptr);
-  cache.BumpEpoch();
-  // TTL had 999+ms to go; the epoch barrier wins anyway.
-  EXPECT_EQ(cache.Lookup("q"), nullptr);
-  bool computed = false;
-  cache.GetOrCompute("q", [&] {
-    computed = true;
-    return PositivePayload(7);
-  });
-  EXPECT_TRUE(computed);
 }
 
 // The stampede guarantee, hammered: kThreads concurrent misses for the

@@ -1,8 +1,8 @@
 // QueryService end-to-end: cached results must be byte-identical to
 // uncached SearchContext::Query on both join back ends, Submit (the served
 // path) must agree with the sync path and stay cache-aware across many
-// requests, and rebinding a rebuilt context must invalidate — a stale
-// context can never serve cached results.
+// requests, and overload, expiry and teardown must answer every request
+// exactly once.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -136,7 +136,7 @@ std::future<api::QueryResponse> SubmitFuture(QueryService* service,
 
 /// Delegating back end that can hold every join call on a gate (to keep a
 /// query deterministically in flight) or fail it (to make Query throw) —
-/// the levers the rebind-drain and batch-exception tests need.
+/// the levers the in-flight, expiry and batch-exception tests need.
 class GatedBackend : public core::OsBackend {
  public:
   explicit GatedBackend(core::OsBackend* inner) : inner_(inner) {}
@@ -344,133 +344,6 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
   EXPECT_EQ(service.metrics().cache.misses, 5u);
 }
 
-TEST(QueryServiceEpoch, RebindAfterRebuildNeverServesStaleResults) {
-  ScoredDblp f(SmallDblpConfig());
-
-  // Context #1 registers only Author; it misses paper subjects.
-  std::vector<search::SearchContext::Subject> authors;
-  authors.push_back({f.d.author, datasets::DblpAuthorGds(f.d)});
-  search::SearchContext ctx1 =
-      search::SearchContext::Build(f.d.db, &f.backend, std::move(authors));
-
-  QueryService service(ctx1, SmallService());
-  api::QueryOptions options;
-  options.l = 8;
-  options.max_results = 6;
-
-  api::QueryResponse stale =
-      service.Execute(api::QueryRequest("databases", options));
-  ASSERT_TRUE(stale.ok());
-  std::string stale_bytes = DeterministicResultText(stale.result_list());
-
-  // The context is rebuilt richer (Author + Paper).
-  search::SearchContext ctx2 = BuildDblpContext(f.d, &f.backend);
-
-  service.RebindContext(ctx2);
-  EXPECT_EQ(&service.context(), &ctx2);
-  EXPECT_EQ(service.metrics().cache.epoch, 1u);
-  EXPECT_EQ(service.metrics().cache.entries, 0u);
-
-  api::QueryResponse fresh =
-      service.Execute(api::QueryRequest("databases", options));
-  ASSERT_TRUE(fresh.ok());
-  std::string fresh_bytes = DeterministicResultText(fresh.result_list());
-  EXPECT_EQ(fresh_bytes,
-            DeterministicResultText(ctx2.Query("databases", options)));
-  // The richer context genuinely changes the answer, so serving the old
-  // entry would have been observable — and did not happen.
-  EXPECT_NE(fresh_bytes, stale_bytes);
-  EXPECT_EQ(service.metrics().cache.misses, 2u);
-}
-
-// The partials-memo half of the rebind contract (ISSUE 10): rebinding
-// flushes the memos on BOTH sides of the swap — the outgoing context (it
-// may be rebound again later) and the incoming one (it may carry partials
-// computed before the rebind) — and metrics() follows the bound context.
-TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext old_ctx = BuildDblpContext(f.d, &f.backend);
-  search::SearchContext new_ctx = BuildDblpContext(f.d, &f.backend);
-
-  QueryService service(old_ctx, SmallService());
-  api::QueryOptions options;
-  options.l = 8;
-
-  // Warm the bound context's memo through the service.
-  ASSERT_TRUE(service.Execute(api::QueryRequest("databases", options)).ok());
-  Metrics before = service.metrics();
-  EXPECT_GT(before.partials.inserts, 0u);
-  EXPECT_GT(before.partials.entries, 0u);
-  EXPECT_EQ(before.partials.epoch, 0u);
-
-  // Seed the NEW context's memo before it is bound — rebind must flush
-  // this side too, not just the outgoing one.
-  new_ctx.Query("databases", options);
-  ASSERT_GT(new_ctx.partials_memo().metrics().entries, 0u);
-
-  service.RebindContext(new_ctx);
-
-  core::PartialsMemoMetrics old_memo = old_ctx.partials_memo().metrics();
-  EXPECT_EQ(old_memo.entries, 0u);
-  EXPECT_EQ(old_memo.epoch, 1u);
-  Metrics after = service.metrics();  // now snapshots new_ctx's memo
-  EXPECT_EQ(after.partials.entries, 0u);
-  EXPECT_EQ(after.partials.epoch, 1u);
-
-  // Post-rebind queries recompute from scratch with unchanged answers.
-  api::QueryResponse fresh =
-      service.Execute(api::QueryRequest("databases", options));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(DeterministicResultText(fresh.result_list()),
-            DeterministicResultText(new_ctx.Query("databases", options)));
-  EXPECT_GT(service.metrics().partials.misses, after.partials.misses);
-}
-
-// The lifetime half of the RebindContext contract: it must not return
-// while a query is still executing against the old context, because the
-// caller is entitled to destroy that context the moment it returns.
-TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
-  ScoredDblp f(SmallDblpConfig());
-  GatedBackend gated(&f.backend);
-  auto old_ctx = std::make_unique<search::SearchContext>(
-      BuildDblpContext(f.d, &gated));
-  search::SearchContext new_ctx = BuildDblpContext(f.d, &f.backend);
-
-  QueryService service(*old_ctx, SmallService());
-  api::QueryOptions options;
-  options.l = 8;
-
-  gated.CloseGate();
-  std::future<api::QueryResponse> inflight =
-      SubmitFuture(&service, api::QueryRequest("databases", options));
-  gated.WaitUntilBlocked();  // the miss has pinned old_ctx and is computing
-
-  std::atomic<bool> rebound{false};
-  std::thread rebinder([&] {
-    service.RebindContext(new_ctx);
-    rebound.store(true);
-  });
-  // While the old context is pinned, RebindContext must stay blocked.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(rebound.load());
-
-  gated.OpenGate();
-  rebinder.join();
-  EXPECT_TRUE(rebound.load());
-  // The query drained before RebindContext returned, so its future is
-  // already satisfied and destroying the old context now is safe (the
-  // sanitizer lanes would flag a use-after-free here otherwise).
-  ASSERT_TRUE(inflight.get().ok());
-  old_ctx.reset();
-
-  EXPECT_EQ(&service.context(), &new_ctx);
-  api::QueryResponse fresh =
-      service.Execute(api::QueryRequest("databases", options));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(DeterministicResultText(fresh.result_list()),
-            DeterministicResultText(new_ctx.Query("databases", options)));
-}
-
 // A throwing miss inside the batch fan-out comes back as that request's
 // kBackendError (pool tasks themselves must not throw — an escaped
 // exception would terminate the process): the rest of the batch is still
@@ -539,7 +412,7 @@ TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first.stats.cache_hit);
   EXPECT_GT(first.stats.compute_micros, 0.0);
-  EXPECT_EQ(first.stats.epoch, 0u);
+  EXPECT_EQ(first.stats.epoch, 0u);  // the service never sets it
   EXPECT_EQ(DeterministicResultText(first.result_list()), golden);
 
   api::QueryResponse second = service.Execute(request);
@@ -918,12 +791,10 @@ TEST(QueryServicePolicy, NegativeHitsAttributedInStatsAndMetrics) {
   EXPECT_EQ(m.cache.hits, 1u);
 }
 
-// The ISSUE 5 acceptance scenario end-to-end, on a fake clock with zero
+// The cache-policy expiry scenario end-to-end, on a fake clock with zero
 // sleeps: an expired positive entry and an expired negative entry each
-// recompute exactly once (stampede coalescing preserved across expiry),
-// and after a context rebind no pre-bump value is served regardless of
-// how much TTL it had left.
-TEST(QueryServicePolicy, ExpiryRecomputesOnceAndRebindBeatsTtl) {
+// recompute exactly once (stampede coalescing preserved across expiry).
+TEST(QueryServicePolicy, ExpiryRecomputesOnce) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
@@ -991,15 +862,6 @@ TEST(QueryServicePolicy, ExpiryRecomputesOnceAndRebindBeatsTtl) {
   Metrics after_pos = service.metrics();
   EXPECT_EQ(after_pos.cache.misses, 4u);  // exactly one recompute
   EXPECT_EQ(after_pos.cache.ttl_expiries, 1u);
-
-  // Rebind invalidates instantly: the fresh positive entry had ~900us of
-  // TTL left and is unservable anyway.
-  search::SearchContext rebuilt = BuildDblpContext(f.d, &f.backend);
-  service.RebindContext(rebuilt);
-  api::QueryResponse after_rebind = service.Execute(pos);
-  ASSERT_TRUE(after_rebind.ok());
-  EXPECT_FALSE(after_rebind.stats.cache_hit);
-  EXPECT_EQ(after_rebind.stats.epoch, 1u);
 }
 
 TEST(QueryServicePolicy, SweepExpiredCacheDropsOnlyExpiredEntries) {
@@ -1232,7 +1094,6 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   m.cache.entries = 3;
   m.cache.approx_bytes = 4096;
   m.cache.evictions = 5;
-  m.cache.epoch = 2;
   m.cache.admission_rejects = 6;
   m.cache.tracked_sightings = 2;
   m.cache.ttl_expiries = 8;
@@ -1247,20 +1108,19 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   m.partials.evictions = 2;
   m.partials.entries = 6;
   m.partials.approx_bytes = 2048;
-  m.partials.epoch = 1;
   for (double v : {1.0, 2.0, 4.0}) m.latency_us.Add(v);
   for (double v : {1.0, 2.0}) m.hit_latency_us.Add(v);
   m.miss_latency_us.Add(4.0);
 
   EXPECT_EQ(FormatMetricsReport(m),
             "queries 7 | hits 4 (1 negative), misses 3, coalesced 2 | "
-            "entries 3 (~4096 bytes), evictions 5, epoch 2\n"
+            "entries 3 (~4096 bytes), evictions 5\n"
             "policy: admission rejects 6 (2 tracked), ttl expiries "
             "8 positive + 9 negative\n"
             "overload: sheds 3 at admission + 1 at dequeue, "
             "2 misses pending\n"
             "partials: hits 12, misses 9, inserts 8 (1 discarded), "
-            "evictions 2 | entries 6 (~2048 bytes), epoch 1\n"
+            "evictions 2 | entries 6 (~2048 bytes)\n"
             "  latency      p50 2.0 us, p99 4.0 us, max 4.0 us\n"
             "    hits       p50 1.5 us, p99 2.0 us, max 2.0 us\n"
             "    neg hits   (no samples)\n"
@@ -1322,7 +1182,6 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
             ExecuteBatch(&service, Requests({mix[qi], mix[bi]}, options));
         check_response(qi, batch[0]);
         check_response(bi, batch[1]);
-        if (w == 0 && round == kRounds / 2) service.ClearCache();
       }
     });
   }
