@@ -257,7 +257,8 @@ WireResult RunWireSweep(uint16_t port,
 /// serve test suites).
 class GatedBackend : public core::OsBackend {
  public:
-  explicit GatedBackend(core::OsBackend* inner) : inner_(inner) {}
+  explicit GatedBackend(core::OsBackend* inner)
+      : OsBackend(inner->db(), inner->links()), inner_(inner) {}
 
   const char* name() const override { return "gated"; }
 

@@ -26,8 +26,9 @@
 //                              half of lazy-plus-sweep expiry)
 //   metrics                    serving-layer snapshot: hit/miss counters
 //                              (negative hits split out), admission/TTL
-//                              policy counters, cache occupancy, latency
-//                              percentiles
+//                              policy counters, cache occupancy, the
+//                              partials memo and join tier counters,
+//                              latency percentiles
 //   serve-tcp [port|stop]      start the TCP front end on 127.0.0.1 (port
 //                              0 = OS-assigned, printed on start) over the
 //                              serving layer, or stop it (graceful drain:
@@ -46,11 +47,13 @@
 //
 // Example:
 //   ./osum_cli "build dblp; serve faloutsos 10; serve faloutsos 10; metrics"
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -234,6 +237,16 @@ void RunCommand(Session& session, const std::string& line) {
     }
     if (args[1] == "dblp") session.BuildDblp();
     else session.BuildTpch();
+    return;
+  }
+  // Every other command needs a database. Reject an unknown word first, so
+  // a typo in the first command is not reported as a missing database.
+  static const char* const kDbCommands[] = {
+      "stats", "gds",    "serve",     "metrics", "policy", "sweep", "query",
+      "json",  "budget", "serve-tcp", "connect", "save"};
+  if (std::find(std::begin(kDbCommands), std::end(kDbCommands), cmd) ==
+      std::end(kDbCommands)) {
+    std::printf("unknown command '%s' (try 'help')\n", cmd.c_str());
     return;
   }
   if (!RequireDb(session)) return;
@@ -550,7 +563,6 @@ void RunCommand(Session& session, const std::string& line) {
     }
     return;
   }
-  std::printf("unknown command '%s' (try 'help')\n", cmd.c_str());
 }
 
 }  // namespace

@@ -22,7 +22,9 @@
 # database back end is slower than the data graph at every OS size and at
 # least 10x slower on the largest), and smokes the api wire format: `osum_cli query --wire json` must produce a document
 # Python's json module parses, an out-of-range number on the CLI must
-# print a usage line and exit 0, and the CLI's cached path must work end
+# print a usage line and exit 0, an unknown first command must be reported
+# as unknown (`osum_cli frobnicate` prints "unknown command 'frobnicate'",
+# not a missing-database error), and the CLI's cached path must work end
 # to end (`osum_cli "build dblp; serve faloutsos 6; serve faloutsos 6;
 # metrics"` prints a MISS line, then a HIT line, then a metrics report
 # counting 2 queries and 1 hit). The `quickstart` and `dblp_search` examples
@@ -206,6 +208,15 @@ build-release/examples/osum_cli \
     > build-release/cli_number_smoke.out
 grep -q '^usage: query ' build-release/cli_number_smoke.out
 echo "cli number smoke ok"
+
+# CLI unknown-command smoke: an unknown word is rejected before the
+# database check, so a typo in the first command is not misreported as a
+# missing database.
+echo "==== cli unknown-command smoke (osum_cli frobnicate) ===="
+build-release/examples/osum_cli "frobnicate" \
+    > build-release/cli_unknown_smoke.out
+grep -q "^unknown command 'frobnicate'" build-release/cli_unknown_smoke.out
+echo "cli unknown-command smoke ok"
 
 # CLI cache smoke: the same query served twice through QueryService is a
 # miss, then a hit, and FormatMetricsReport counts both. The three lines

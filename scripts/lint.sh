@@ -133,6 +133,7 @@ fi
 section "annotation coverage (grep)"
 ANNOTATED_HEADERS=(
   src/util/thread_pool.h
+  src/core/join_cache.h
   src/core/partials_memo.h
   src/serve/result_cache.h
   src/serve/query_service.h
@@ -153,6 +154,7 @@ if grep -rn --include='*.h' --include='*.cc' \
     -e 'std::mutex' -e 'std::condition_variable' \
     -e 'std::lock_guard' -e 'std::scoped_lock' \
     src/util/thread_pool.h src/util/thread_pool.cc src/util/bounded_lru.h \
+    src/core/join_cache.h src/core/join_cache.cc \
     src/core/partials_memo.h src/core/partials_memo.cc src/serve src/net; then
   echo "[lint] FAIL: raw std lock primitives in migrated layers (use" \
        "util::Mutex/util::CondVar/util::MutexLock from util/mutex.h)" >&2
@@ -164,6 +166,7 @@ fi
 # std::unique_lock is allowed only inside util/mutex.h's CondVar bridge.
 if grep -rn --include='*.h' --include='*.cc' 'std::unique_lock' \
     src/util/thread_pool.h src/util/thread_pool.cc src/util/bounded_lru.h \
+    src/core/join_cache.h src/core/join_cache.cc \
     src/core/partials_memo.h src/core/partials_memo.cc src/serve src/net; then
   echo "[lint] FAIL: std::unique_lock outside util/mutex.h" >&2
   FAILED=1

@@ -5,6 +5,16 @@
 // directly from the database with one SQL statement per join (12.9s). Both
 // are modeled here behind a common interface so Algorithms 4 and 5 are
 // written once. Each back end reports its logical I/O through util::IoStats.
+//
+// The two ends differ in what a join costs. The data graph is the
+// precomputed adjacency: a Fetch is a few-ns read. The database back end
+// pays one statement per call, so it says per_statement(), and
+// search::SearchContext puts a core::JoinCache (join_cache.h) in front of
+// it: a decorator that is itself an OsBackend, answers a repeated
+// (link, direction, parent tuple) join from the list the first statement
+// returned, and leaves the inner back end's counters to count only the
+// statements actually issued. The data graph gets no tier; caching its
+// adjacency again would only add a lock and a hash probe to each read.
 #ifndef OSUM_CORE_OS_BACKEND_H_
 #define OSUM_CORE_OS_BACKEND_H_
 
@@ -25,12 +35,24 @@ namespace osum::core {
 /// FetchTop only read the database / data graph (themselves read-only once
 /// built), so one back end instance may serve concurrent queries — the
 /// contract search::SearchContext relies on. Implementations adding real
-/// mutable state (caches, connections) must synchronize it themselves.
+/// mutable state (caches, connections) must synchronize it themselves, as
+/// core::JoinCache does.
 class OsBackend {
  public:
+  /// `db` and `links` must outlive the back end.
+  OsBackend(const rel::Database& db, const graph::LinkSchema& links)
+      : db_(db), links_(links) {}
   virtual ~OsBackend() = default;
 
   virtual const char* name() const = 0;
+
+  /// True when every Fetch/FetchTop costs a statement against the
+  /// database, so repeating a join repeats its cost. SearchContext fronts
+  /// exactly these back ends with a core::JoinCache.
+  virtual bool per_statement() const { return false; }
+
+  const rel::Database& db() const { return db_; }
+  const graph::LinkSchema& links() const { return links_; }
 
   /// Full join: all neighbor tuples (Algorithm 5 line 6), in
   /// rel::ImportanceOrder once importance is annotated and the access
@@ -55,7 +77,15 @@ class OsBackend {
   void ResetStats() { stats_.Reset(); }
 
  protected:
+  /// The relation a join through `link` in direction `dir` lands in.
+  const rel::Relation& Target(graph::LinkTypeId link,
+                              rel::FkDirection dir) const;
+
   util::AtomicIoStats stats_;
+
+ private:
+  const rel::Database& db_;
+  const graph::LinkSchema& links_;
 };
 
 /// In-memory data-graph back end (the paper's fast path). FetchTop throws
@@ -75,8 +105,6 @@ class DataGraphBackend : public OsBackend {
                 std::vector<rel::TupleId>* out) override;
 
  private:
-  const rel::Database& db_;
-  const graph::LinkSchema& links_;
   const graph::DataGraph& graph_;
 };
 
@@ -93,6 +121,7 @@ class DatabaseBackend : public OsBackend {
                   double per_select_micros = 8.0);
 
   const char* name() const override { return "database"; }
+  bool per_statement() const override { return true; }
   void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
              rel::TupleId parent_tuple,
              std::vector<rel::TupleId>* out) override;
@@ -107,11 +136,9 @@ class DatabaseBackend : public OsBackend {
   /// FK index, backward FK through the parent lookup, junction links as one
   /// junction-target join sorted into rel::ImportanceOrder once the target
   /// is annotated. Books only the database's own access-path I/O.
-  void Join(const graph::LinkType& lt, rel::FkDirection dir,
+  void Join(graph::LinkTypeId link, rel::FkDirection dir,
             rel::TupleId parent_tuple, std::vector<rel::TupleId>* out) const;
 
-  const rel::Database& db_;
-  const graph::LinkSchema& links_;
   double per_select_micros_;
 };
 

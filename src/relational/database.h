@@ -88,6 +88,7 @@ class Database {
   /// any access-path call.
   void BuildIndexes();
   bool indexes_built() const { return indexes_built_; }
+  bool indexes_sorted() const { return indexes_sorted_; }
 
   /// Re-orders each forward index's posting lists by descending tuple
   /// importance. Requires importance annotations on all child relations.

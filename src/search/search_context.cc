@@ -71,6 +71,10 @@ SearchContext SearchContext::Build(const rel::Database& db,
                                    std::vector<Subject> subjects) {
   SearchContext ctx(db, backend);
   ctx.partials_memo_ = std::make_shared<core::PartialsMemo>();
+  if (backend->per_statement()) {
+    ctx.join_cache_ = std::make_shared<core::JoinCache>(backend);
+    ctx.backend_ = ctx.join_cache_.get();
+  }
   ctx.subject_order_.reserve(subjects.size());
   for (Subject& s : subjects) {
     // Checked in every build type: a duplicate would list the relation
@@ -91,6 +95,10 @@ SearchContext SearchContext::Build(const rel::Database& db,
   }
   ctx.index_ = InvertedIndex::Build(db, ctx.subject_order_);
   return ctx;
+}
+
+core::JoinCacheMetrics SearchContext::join_cache_metrics() const {
+  return join_cache_ ? join_cache_->metrics() : core::JoinCacheMetrics{};
 }
 
 const gds::Gds& SearchContext::GdsFor(rel::RelationId relation) const {

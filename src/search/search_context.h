@@ -21,16 +21,18 @@
 //     metadata, and an empty answer is distinguishable from an error.
 //
 // Thread-safety contract (relied on by serve::QueryService's worker pool
-// and enforced by search_concurrency_test):
+// and enforced by search_concurrency_test and join_cache_test):
 //   - rel::Database, graph::DataGraph, gds::Gds, InvertedIndex: immutable
 //     after their build/annotate phase.
 //   - core::OsBackend: stateless apart from atomic I/O counters (see
 //     os_backend.h).
-//   - core::PartialsMemo: internally synchronized (one lock; see
-//     partials_memo.h) — the one mutable structure the const query path
-//     touches, and deliberately so: memo-on and memo-off answers are
-//     byte-identical, so the memo is observable only through timing and
-//     its own counters.
+//   - The context owns two internally synchronized structures, each behind
+//     one lock, and they are the only mutable state the const query path
+//     touches: the core::PartialsMemo of per-subject OS trees
+//     (partials_memo.h) and, in front of a back end that pays per
+//     statement, the core::JoinCache of join lists (join_cache.h). Both
+//     are deliberate: answers with and without them are byte-identical,
+//     so they are observable only through timing and their own counters.
 //   - SearchContext itself: no non-const member functions after Build().
 #ifndef OSUM_SEARCH_SEARCH_CONTEXT_H_
 #define OSUM_SEARCH_SEARCH_CONTEXT_H_
@@ -42,6 +44,7 @@
 #include <vector>
 
 #include "api/query.h"
+#include "core/join_cache.h"
 #include "core/os_backend.h"
 #include "core/os_generator.h"
 #include "core/os_tree.h"
@@ -62,7 +65,11 @@ class SearchContext {
   };
 
   /// Builds the inverted index over `subjects` — the only mutating phase.
-  /// `db` and `backend` must outlive the context. Subjects keep their
+  /// `db` and `backend` must outlive the context. When `backend` pays per
+  /// statement (OsBackend::per_statement), OSs are generated through a
+  /// join tier (core::JoinCache) the context owns, which starts empty and
+  /// fills as queries run; `backend`'s own counters then count only the
+  /// statements the tier's misses issue. Subjects keep their
   /// registration order for indexing. Throws std::invalid_argument when a
   /// relation appears twice or a G_DS is rooted at a different relation
   /// than the one it is registered for.
@@ -94,7 +101,6 @@ class SearchContext {
   std::string Render(const api::QueryResult& result) const;
 
   const rel::Database& db() const { return *db_; }
-  core::OsBackend* backend() const { return backend_; }
   const InvertedIndex& index() const { return index_; }
   const gds::Gds& GdsFor(rel::RelationId relation) const;
 
@@ -104,6 +110,10 @@ class SearchContext {
   /// results. It lives and dies with this context, so it never holds a
   /// tree generated from other data.
   core::PartialsMemo& partials_memo() const { return *partials_memo_; }
+
+  /// The join tier's counters; zeros for a context without one (a back
+  /// end that does not pay per statement, such as the data graph).
+  core::JoinCacheMetrics join_cache_metrics() const;
 
  private:
   SearchContext(const rel::Database& db, core::OsBackend* backend)
@@ -121,6 +131,8 @@ class SearchContext {
                          const api::QueryOptions& options) const;
 
   const rel::Database* db_;
+  /// What AcquireOs generates through: the join tier when there is one,
+  /// else the back end Build was given.
   core::OsBackend* backend_;
   std::unordered_map<rel::RelationId, gds::Gds> subjects_;
   std::vector<rel::RelationId> subject_order_;
@@ -128,6 +140,8 @@ class SearchContext {
   // shared_ptr, not value: keeps the context movable while the memo's
   // Mutex stays pinned in place for concurrent queries.
   std::shared_ptr<core::PartialsMemo> partials_memo_;
+  // Null without a tier; shared_ptr for the same reason as the memo.
+  std::shared_ptr<core::JoinCache> join_cache_;
 };
 
 }  // namespace osum::search

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/join_cache.h"
 #include "core/partials_memo.h"
 #include "util/stats.h"
 
@@ -60,6 +61,10 @@ struct Metrics {
   /// (core/partials_memo.h). Context-owned, not service-owned: it lives
   /// and dies with the context it memoizes.
   core::PartialsMemoMetrics partials;
+  /// The served context's join tier in front of a back end that pays per
+  /// statement (core/join_cache.h): the reuse tier under the memo, also
+  /// context-owned. All zeros when the context has none (data graph).
+  core::JoinCacheMetrics joins;
   uint64_t queries = 0;
   /// Overload control (see OverloadOptions): requests answered
   /// kDeadlineExceeded at admission — budget already spent on arrival, or
@@ -78,7 +83,8 @@ struct Metrics {
 };
 
 /// The human-readable snapshot `osum_cli metrics` prints — one counters
-/// line, one policy line, then per-outcome latency percentiles. Lives in
+/// line, one line each for the policy, overload, partials memo and join
+/// tier, then per-outcome latency percentiles. Lives in
 /// the library (not the CLI) so its shape is pinned by a unit test.
 std::string FormatMetricsReport(const Metrics& m);
 

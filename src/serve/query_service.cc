@@ -236,6 +236,7 @@ Metrics QueryService::metrics() const {
   Metrics m;
   m.cache = cache_.metrics();
   m.partials = context_.partials_memo().metrics();
+  m.joins = context_.join_cache_metrics();
   {
     util::MutexLock lock(pending_mu_);
     m.sheds_at_admission = sheds_at_admission_;

@@ -24,8 +24,8 @@
 //     service's whole life. All public methods are thread-safe.
 //   - To serve a rebuilt context, shut the front end down, destroy the
 //     service, then the old context, and construct a new service over the
-//     new one. The result cache and the context's partials memo therefore
-//     never hold an entry computed from other data.
+//     new one. The result cache, the context's partials memo and its join
+//     tier therefore never hold an entry computed from other data.
 //   - Destruction drains: misses already on the pool finish (and answer)
 //     before the service is gone.
 //   - Submit callbacks may run on worker threads and must not throw

@@ -134,7 +134,8 @@ serve::ServiceOptions SmallService() {
 /// runs (same idiom as serve_service_test).
 class GatedBackend : public core::OsBackend {
  public:
-  explicit GatedBackend(core::OsBackend* inner) : inner_(inner) {}
+  explicit GatedBackend(core::OsBackend* inner)
+      : OsBackend(inner->db(), inner->links()), inner_(inner) {}
 
   const char* name() const override { return "gated"; }
 
@@ -189,7 +190,8 @@ class GatedBackend : public core::OsBackend {
 /// requests cost zero backend I/O.
 class CountingBackend : public core::OsBackend {
  public:
-  explicit CountingBackend(core::OsBackend* inner) : inner_(inner) {}
+  explicit CountingBackend(core::OsBackend* inner)
+      : OsBackend(inner->db(), inner->links()), inner_(inner) {}
 
   const char* name() const override { return "counting"; }
 
@@ -221,7 +223,8 @@ class CountingBackend : public core::OsBackend {
 /// the moment a particular request is being computed.
 class ProbeBackend : public core::OsBackend {
  public:
-  explicit ProbeBackend(core::OsBackend* inner) : inner_(inner) {}
+  explicit ProbeBackend(core::OsBackend* inner)
+      : OsBackend(inner->db(), inner->links()), inner_(inner) {}
 
   const char* name() const override { return "probe"; }
 

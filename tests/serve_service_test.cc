@@ -139,7 +139,8 @@ std::future<api::QueryResponse> SubmitFuture(QueryService* service,
 /// the levers the in-flight, expiry and batch-exception tests need.
 class GatedBackend : public core::OsBackend {
  public:
-  explicit GatedBackend(core::OsBackend* inner) : inner_(inner) {}
+  explicit GatedBackend(core::OsBackend* inner)
+      : OsBackend(inner->db(), inner->links()), inner_(inner) {}
 
   const char* name() const override { return "gated"; }
 
@@ -198,7 +199,8 @@ class GatedBackend : public core::OsBackend {
 /// tests use to prove "answered kDeadlineExceeded WITHOUT backend work".
 class CountingBackend : public core::OsBackend {
  public:
-  explicit CountingBackend(core::OsBackend* inner) : inner_(inner) {}
+  explicit CountingBackend(core::OsBackend* inner)
+      : OsBackend(inner->db(), inner->links()), inner_(inner) {}
 
   const char* name() const override { return "counting"; }
 
@@ -264,6 +266,29 @@ TEST(QueryServiceEquivalence, HitMatchesRecomputeDatabaseBackend) {
   core::DatabaseBackend backend(f.d.db, f.d.links, /*per_select_micros=*/0.0);
   search::SearchContext ctx = BuildDblpContext(f.d, &backend);
   ExpectHitMatchesRecompute(ctx);
+}
+
+// metrics().joins reads the served context's join tier: counted on the
+// database back end, all zeros on the data graph, which has no tier.
+TEST(QueryServiceMetrics, JoinTierCountersFollowTheContext) {
+  ScoredDblp f(SmallDblpConfig());
+  core::DatabaseBackend backend(f.d.db, f.d.links, /*per_select_micros=*/0.0);
+  search::SearchContext db_ctx = BuildDblpContext(f.d, &backend);
+  search::SearchContext graph_ctx = BuildDblpContext(f.d, &f.backend);
+  for (const search::SearchContext* ctx : {&db_ctx, &graph_ctx}) {
+    QueryService service(*ctx, SmallService());
+    ASSERT_TRUE(service.Execute(api::QueryRequest("faloutsos").WithL(8)).ok());
+    ASSERT_TRUE(service.Execute(api::QueryRequest("faloutsos").WithL(9)).ok());
+    core::JoinCacheMetrics joins = service.metrics().joins;
+    if (ctx == &graph_ctx) {
+      EXPECT_EQ(joins.hits + joins.misses + joins.entries, 0u);
+      continue;
+    }
+    EXPECT_EQ(joins.misses, backend.stats().select_calls);
+    EXPECT_GT(joins.hits, 0u);
+    EXPECT_EQ(joins.entries, joins.misses);
+    EXPECT_GT(joins.approx_bytes, 0u);
+  }
 }
 
 TEST(QueryServiceEquivalence, KeywordNormalizationSharesOneEntry) {
@@ -1108,6 +1133,12 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   m.partials.evictions = 2;
   m.partials.entries = 6;
   m.partials.approx_bytes = 2048;
+  m.joins.hits = 40;
+  m.joins.misses = 11;
+  m.joins.discarded_inserts = 1;
+  m.joins.evictions = 3;
+  m.joins.entries = 7;
+  m.joins.approx_bytes = 1024;
   for (double v : {1.0, 2.0, 4.0}) m.latency_us.Add(v);
   for (double v : {1.0, 2.0}) m.hit_latency_us.Add(v);
   m.miss_latency_us.Add(4.0);
@@ -1121,6 +1152,8 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
             "2 misses pending\n"
             "partials: hits 12, misses 9, inserts 8 (1 discarded), "
             "evictions 2 | entries 6 (~2048 bytes)\n"
+            "joins: hits 40, misses 11, discarded 1, evictions 3, "
+            "entries 7 (~1024 bytes)\n"
             "  latency      p50 2.0 us, p99 4.0 us, max 4.0 us\n"
             "    hits       p50 1.5 us, p99 2.0 us, max 2.0 us\n"
             "    neg hits   (no samples)\n"
