@@ -52,12 +52,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -239,40 +240,41 @@ void RunCommand(Session& session, const std::string& line) {
     else session.BuildTpch();
     return;
   }
-  // Every other command needs a database. Reject an unknown word first, so
-  // a typo in the first command is not reported as a missing database.
-  static const char* const kDbCommands[] = {
-      "stats", "gds",    "serve",     "metrics", "policy", "sweep", "query",
-      "json",  "budget", "serve-tcp", "connect", "save"};
-  if (std::find(std::begin(kDbCommands), std::end(kDbCommands), cmd) ==
-      std::end(kDbCommands)) {
-    std::printf("unknown command '%s' (try 'help')\n", cmd.c_str());
-    return;
-  }
-  if (!RequireDb(session)) return;
-  const rel::Database& db = *session.db();
+  // Every other command needs a database. A branch claims its words with
+  // `claim`, which reports a missing database itself; a word no branch
+  // claims is unknown, so a typo before 'build' is not reported as a
+  // missing database.
+  const rel::Database* db = session.db();
+  bool claimed = false;
+  auto claim = [&](std::initializer_list<std::string_view> words) {
+    if (std::find(words.begin(), words.end(), cmd) == words.end()) {
+      return false;
+    }
+    claimed = true;
+    return RequireDb(session);
+  };
 
-  if (cmd == "stats") {
+  if (claim({"stats"})) {
     std::printf("relations: %zu, foreign keys: %zu, tuples: %llu\n",
-                db.num_relations(), db.num_foreign_keys(),
-                static_cast<unsigned long long>(db.TotalTuples()));
-    for (rel::RelationId r = 0; r < db.num_relations(); ++r) {
-      const rel::Relation& rel = db.relation(r);
+                db->num_relations(), db->num_foreign_keys(),
+                static_cast<unsigned long long>(db->TotalTuples()));
+    for (rel::RelationId r = 0; r < db->num_relations(); ++r) {
+      const rel::Relation& rel = db->relation(r);
       std::printf("  %-12s %8zu tuples%s\n", rel.name().c_str(),
                   rel.num_tuples(), rel.is_junction() ? "  (junction)" : "");
     }
     return;
   }
-  if (cmd == "gds") {
+  if (claim({"gds"})) {
     if (args.size() < 2) {
       std::puts("usage: gds <relation>");
       return;
     }
-    rel::RelationId r = db.GetRelationId(args[1]);
-    std::cout << session.ctx->GdsFor(r).ToString(db);
+    rel::RelationId r = db->GetRelationId(args[1]);
+    std::cout << session.ctx->GdsFor(r).ToString(*db);
     return;
   }
-  if (cmd == "serve") {
+  if (claim({"serve"})) {
     auto [keywords, number] = SplitTrailingNumber(args, 1);
     if (keywords.empty()) {
       std::puts("usage: serve <keywords...> [l]");
@@ -296,7 +298,7 @@ void RunCommand(Session& session, const std::string& line) {
     }
     return;
   }
-  if (cmd == "metrics") {
+  if (claim({"metrics"})) {
     if (session.service == nullptr) {
       std::puts("serving layer idle; run 'serve <keywords>' first");
       return;
@@ -307,7 +309,7 @@ void RunCommand(Session& session, const std::string& line) {
                stdout);
     return;
   }
-  if (cmd == "policy") {
+  if (claim({"policy"})) {
     // Parse into a scratch copy and commit all-or-nothing: a rejected
     // command must not leave half-applied knobs latent in the session.
     serve::CachePolicyOptions staged = session.serve_options.cache.policy;
@@ -371,7 +373,7 @@ void RunCommand(Session& session, const std::string& line) {
                 changed ? " (serving layer restarted)" : "");
     return;
   }
-  if (cmd == "sweep") {
+  if (claim({"sweep"})) {
     if (session.service == nullptr) {
       std::puts("serving layer idle; run 'serve <keywords>' first");
       return;
@@ -380,7 +382,7 @@ void RunCommand(Session& session, const std::string& line) {
                 session.service->SweepExpiredCache());
     return;
   }
-  if (cmd == "query" || cmd == "json" || cmd == "budget") {
+  if (claim({"query", "json", "budget"})) {
     size_t from = 1;
     std::string wire;
     if (cmd == "query" && args.size() > 1 && args[1] == "--wire") {
@@ -427,22 +429,22 @@ void RunCommand(Session& session, const std::string& line) {
     } else if (cmd == "json") {
       const auto& r = results[0];
       const gds::Gds& gds = session.ctx->GdsFor(r.subject.relation);
-      std::cout << core::RenderOsJson(db, gds, r.os, &r.selection.nodes);
+      std::cout << core::RenderOsJson(*db, gds, r.os, &r.selection.nodes);
     } else {  // budget
       uint64_t words = number.value_or(50);
       const auto& r = results[0];
       auto budgeted =
-          core::SizeLByBudget(db, r.os, words, core::BudgetUnit::kWords,
+          core::SizeLByBudget(*db, r.os, words, core::BudgetUnit::kWords,
                               core::SizeLAlgorithm::kTopPathMemo);
       std::printf("budget %llu words -> l=%zu (%llu words)\n",
                   static_cast<unsigned long long>(words), budgeted.l,
                   static_cast<unsigned long long>(budgeted.cost));
       const gds::Gds& gds = session.ctx->GdsFor(r.subject.relation);
-      std::cout << r.os.Render(db, gds, &budgeted.selection.nodes);
+      std::cout << r.os.Render(*db, gds, &budgeted.selection.nodes);
     }
     return;
   }
-  if (cmd == "serve-tcp") {
+  if (claim({"serve-tcp"})) {
     if (args.size() > 1 && args[1] == "stop") {
       if (session.tcp_server == nullptr) {
         std::puts("tcp server not running");
@@ -488,7 +490,7 @@ void RunCommand(Session& session, const std::string& line) {
                 session.tcp_server->port());
     return;
   }
-  if (cmd == "connect") {
+  if (claim({"connect"})) {
     if (session.tcp_server == nullptr) {
       std::puts("tcp server not running; run 'serve-tcp' first");
       return;
@@ -551,17 +553,20 @@ void RunCommand(Session& session, const std::string& line) {
     }
     return;
   }
-  if (cmd == "save") {
+  if (claim({"save"})) {
     if (args.size() < 2) {
       std::puts("usage: save <dir>");
       return;
     }
-    if (rel::SaveDatabaseCsv(db, args[1])) {
+    if (rel::SaveDatabaseCsv(*db, args[1])) {
       std::printf("saved to %s\n", args[1].c_str());
     } else {
       std::printf("error: could not write %s\n", args[1].c_str());
     }
     return;
+  }
+  if (!claimed) {
+    std::printf("unknown command '%s' (try 'help')\n", cmd.c_str());
   }
 }
 

@@ -1,6 +1,8 @@
 #include "core/join_cache.h"
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -9,7 +11,8 @@ namespace osum::core {
 namespace {
 
 // (link, direction, parent tuple) packed into fixed-width bytes on the
-// stack: no formatting and no allocation per probe.
+// stack, and hashed for the doorkeeper: no formatting and no allocation
+// per probe.
 class JoinKey {
  public:
   JoinKey(graph::LinkTypeId link, rel::FkDirection dir,
@@ -18,12 +21,23 @@ class JoinKey {
     bytes_[sizeof(link)] = static_cast<char>(dir);
     std::memcpy(bytes_ + sizeof(link) + 1, &parent_tuple,
                 sizeof(parent_tuple));
+    // The splitmix64 finalizer over the packed ids: distinct keys (of
+    // links below 2^31) get distinct hashes, and 0 is kept for "empty".
+    uint64_t h = uint64_t{link} << 33 | uint64_t{parent_tuple} << 1 |
+                 static_cast<uint64_t>(dir);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    hash_ = h == 0 ? 1 : h;
   }
 
   std::string_view view() const { return {bytes_, sizeof(bytes_)}; }
+  uint64_t hash() const { return hash_; }
 
  private:
+  static_assert(sizeof(graph::LinkTypeId) == 4 && sizeof(rel::TupleId) == 4);
   char bytes_[sizeof(graph::LinkTypeId) + 1 + sizeof(rel::TupleId)];
+  uint64_t hash_;
 };
 
 // What an entry costs beyond its ids, approximately: the recency-list node
@@ -32,24 +46,34 @@ constexpr size_t kEntryOverheadBytes = 128;
 
 }  // namespace
 
-JoinCache::JoinCache(OsBackend* inner, size_t max_entries, size_t max_bytes)
+JoinCache::JoinCache(OsBackend* inner, size_t max_bytes)
     : OsBackend(inner->db(), inner->links()),
       inner_(inner),
-      lru_(max_entries, max_bytes) {}
+      lru_(std::numeric_limits<size_t>::max(), max_bytes),
+      doorkeeper_(kDoorkeeperSlots, 0) {}
 
 template <typename Prefix>
-bool JoinCache::CopyOut(std::string_view key, Prefix prefix, List* out) {
+JoinCache::Probe JoinCache::Lookup(std::string_view key, uint64_t hash,
+                                   Prefix prefix, List* out) {
+  static_assert((kDoorkeeperSlots & (kDoorkeeperSlots - 1)) == 0);
   util::MutexLock lock(mu_);
   auto it = lru_.Find(key);
-  if (it == lru_.end()) {
-    ++misses_;
-    return false;
+  if (it != lru_.end()) {
+    ++hits_;
+    lru_.Touch(it);
+    const List& list = it->value;
+    out->assign(list.begin(), list.begin() + prefix(list));
+    return Probe::kHit;
   }
-  ++hits_;
-  lru_.Touch(it);
-  const List& list = it->value;
-  out->assign(list.begin(), list.begin() + prefix(list));
-  return true;
+  ++misses_;
+  uint64_t& seen = doorkeeper_[hash & (kDoorkeeperSlots - 1)];
+  if (seen != hash) {
+    seen = hash;
+    return Probe::kPass;
+  }
+  seen = 0;
+  ++admitted_;
+  return Probe::kAdmit;
 }
 
 void JoinCache::Fill(std::string_view key, graph::LinkTypeId link,
@@ -60,7 +84,7 @@ void JoinCache::Fill(std::string_view key, graph::LinkTypeId link,
   size_t bytes = kEntryOverheadBytes + list.size() * sizeof(rel::TupleId);
   util::MutexLock lock(mu_);
   if (lru_.Find(key) != lru_.end()) {
-    // Another thread missed on the same join and filled it first; its
+    // Another thread admitted the same join and filled it first; its
     // list is the same one.
     ++discarded_inserts_;
     return;
@@ -72,11 +96,17 @@ void JoinCache::Fetch(graph::LinkTypeId link, rel::FkDirection dir,
                       rel::TupleId parent_tuple,
                       std::vector<rel::TupleId>* out) {
   JoinKey key(link, dir, parent_tuple);
-  if (CopyOut(key.view(), [](const List& list) { return list.size(); },
-              out)) {
-    return;
+  auto all = [](const List& list) { return list.size(); };
+  switch (Lookup(key.view(), key.hash(), all, out)) {
+    case Probe::kHit:
+      return;
+    case Probe::kPass:
+      inner_->Fetch(link, dir, parent_tuple, out);
+      return;
+    case Probe::kAdmit:
+      Fill(key.view(), link, dir, parent_tuple, out);
+      return;
   }
-  Fill(key.view(), link, dir, parent_tuple, out);
 }
 
 void JoinCache::FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
@@ -84,9 +114,12 @@ void JoinCache::FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
                          double min_importance,
                          std::vector<rel::TupleId>* out) {
   // Checked in every build type, as the database back end's own TOP-l
-  // does: the prefix step assumes importance-ordered lists, which
-  // forward-FK joins return only once the FK indexes are sorted.
-  if (!db().indexes_sorted()) {
+  // does: a forward FK join lists its FK index's order, which is
+  // importance order only once the indexes are sorted. Backward and
+  // junction joins are importance-ordered either way.
+  const graph::LinkType& lt = links().link(link);
+  if (!lt.via_junction && dir == rel::FkDirection::kForward &&
+      !db().indexes_sorted()) {
     throw std::logic_error(
         "FetchTop requires Database::SortIndexesByImportance");
   }
@@ -95,9 +128,17 @@ void JoinCache::FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
   auto top = [&](const List& list) {
     return rel::TopImportancePrefix(target, list, limit, min_importance);
   };
-  if (CopyOut(key.view(), top, out)) return;
-  Fill(key.view(), link, dir, parent_tuple, out);
-  out->resize(top(*out));
+  switch (Lookup(key.view(), key.hash(), top, out)) {
+    case Probe::kHit:
+      return;
+    case Probe::kPass:
+      inner_->FetchTop(link, dir, parent_tuple, limit, min_importance, out);
+      return;
+    case Probe::kAdmit:
+      Fill(key.view(), link, dir, parent_tuple, out);
+      out->resize(top(*out));
+      return;
+  }
 }
 
 JoinCacheMetrics JoinCache::metrics() const {
@@ -105,6 +146,7 @@ JoinCacheMetrics JoinCache::metrics() const {
   JoinCacheMetrics m;
   m.hits = hits_;
   m.misses = misses_;
+  m.admitted = admitted_;
   m.discarded_inserts = discarded_inserts_;
   m.evictions = lru_.evictions();
   m.entries = lru_.size();

@@ -5,33 +5,44 @@
 // precomputation, ~65x slower, Figure 10(f)). Served queries repeat joins:
 // overlapping keyword sets rank the same subjects, and one subject's OS is
 // generated at many l. JoinCache sits between: it is an OsBackend
-// decorator that answers each (link, direction, parent tuple) join from
-// the list the first statement for it returned, so the inner back end
-// issues one statement per distinct join instead of one per call.
+// decorator that answers a repeated (link, direction, parent tuple) join
+// from the list an earlier statement for it returned, so the inner back
+// end issues a statement per distinct join instead of one per call.
 //
-//   - Fetch copies the cached list out.
-//   - FetchTop answers from the same entry with rel::TopImportancePrefix,
-//     so one entry serves every l and every AC2 cutoff. That is exact
-//     because FetchTop is, by contract, the prefix of Fetch's importance-
-//     ordered list (pinned by FetchTopContract in os_backend_test).
-//     It throws std::logic_error unless the database's FK indexes are
-//     sorted by importance (Database::SortIndexesByImportance).
-//   - A miss on either call issues one full inner Fetch outside the lock,
-//     then inserts the list unless another thread filled the key meanwhile
+//   - Admission. A join is kept only once it is seen a second time. A
+//     fixed table of key hashes (the doorkeeper, allocated once, direct
+//     mapped) remembers first sightings; a first sighting passes straight
+//     through to the inner back end's own Fetch or FetchTop, so joins that
+//     never repeat (complete TPC-H OSs) cost one probe and insert nothing.
+//     A slot that another key overwrote only delays an admission.
+//   - A second sighting issues one full inner Fetch outside the lock, then
+//     inserts the list unless another thread filled the key meanwhile
 //     (counted as a discarded insert).
+//   - A hit's Fetch copies the cached list out; its FetchTop answers from
+//     the same entry with rel::TopImportancePrefix, so one entry serves
+//     every l and every AC2 cutoff. That is exact because FetchTop is, by
+//     contract, the prefix of Fetch's importance-ordered list (pinned by
+//     FetchTopContract in os_backend_test). A forward FK join is in
+//     importance order only once the database's FK indexes are sorted
+//     (Database::SortIndexesByImportance), so FetchTop on such a join
+//     throws std::logic_error before that, as the uncached back end does;
+//     backward and junction joins need no sorted index.
 //
-// The inner back end's stats() keeps counting only the statements actually
-// issued, so misses equal the inner back end's select_calls. The tier
-// issues none of its own; its own stats() stays zero.
+// Every miss, admitted or passed through, issues exactly one inner
+// statement, and the inner back end's stats() keeps counting only the
+// statements actually issued, so misses equal the inner back end's
+// select_calls. The tier issues none of its own; its own stats() stays
+// zero.
 //
-// Recency and the entry and byte budgets are util::BoundedLru, guarded by
-// one annotated util::Mutex (the PartialsMemo pattern); a hit copies the
-// list out under the lock. The budgets are fixed: they hold the distinct
-// joins of the DBLP serving workloads (35k and 17k short lists, about 5.0
-// and 2.4 MB as charged), and cap the single-use lists of workloads with
-// little reuse, such as complete TPC-H OSs. A tier belongs to one
-// search::SearchContext and dies with it; the data it caches never
-// changes under it, so it needs no invalidation.
+// Recency and the byte budget are util::BoundedLru, guarded with the
+// doorkeeper by one annotated util::Mutex (the PartialsMemo pattern); a
+// hit copies the list out under the lock. The budget is fixed: it holds
+// the distinct joins of the DBLP serving workloads (35k and 17k short
+// lists, about 5.0 and 2.4 MB as charged) and caps the lists of workloads
+// with little reuse. An entry is charged at least 128 bytes, so the byte
+// budget also bounds the entry count. A tier belongs to one
+// search::SearchContext and dies with it; the data it caches never changes
+// under it, so it needs no invalidation.
 #ifndef OSUM_CORE_JOIN_CACHE_H_
 #define OSUM_CORE_JOIN_CACHE_H_
 
@@ -51,8 +62,11 @@ namespace osum::core {
 /// (current occupancy).
 struct JoinCacheMetrics {
   uint64_t hits = 0;
-  /// Each miss issued exactly one inner Fetch.
+  /// Each miss issued exactly one inner statement.
   uint64_t misses = 0;
+  /// Misses on a join's second sighting: a full inner Fetch kept for
+  /// later hits. The other misses were passed through.
+  uint64_t admitted = 0;
   /// Misses whose list was dropped because another thread filled the key
   /// first: two threads may miss on the same join at once, and the tier
   /// does not coalesce them.
@@ -64,13 +78,14 @@ struct JoinCacheMetrics {
 
 class JoinCache : public OsBackend {
  public:
-  static constexpr size_t kMaxEntries = size_t{256} << 10;
   static constexpr size_t kMaxBytes = size_t{8} << 20;
+  /// Doorkeeper slots, 8 bytes each: room for the first sightings of a
+  /// DBLP working set.
+  static constexpr size_t kDoorkeeperSlots = size_t{1} << 16;
 
-  /// `inner` must outlive the tier. The budgets are parameters for tests
-  /// only; SearchContext uses the defaults.
-  explicit JoinCache(OsBackend* inner, size_t max_entries = kMaxEntries,
-                     size_t max_bytes = kMaxBytes);
+  /// `inner` must outlive the tier. The byte budget is a parameter for
+  /// tests only; SearchContext uses the default.
+  explicit JoinCache(OsBackend* inner, size_t max_bytes = kMaxBytes);
 
   JoinCache(const JoinCache&) = delete;
   JoinCache& operator=(const JoinCache&) = delete;
@@ -88,20 +103,27 @@ class JoinCache : public OsBackend {
 
  private:
   using List = std::vector<rel::TupleId>;
+  enum class Probe { kHit, kPass, kAdmit };
 
   /// On a hit, copies the cached list's first `prefix(list)` ids into
-  /// `out` and returns true; on a miss counts it and returns false.
+  /// `out`. On a miss, counts it and tells a first sighting (kPass: ask
+  /// the inner back end directly) from a second (kAdmit: Fill).
   template <typename Prefix>
-  bool CopyOut(std::string_view key, Prefix prefix, List* out);
-  /// Issues the one inner Fetch of a miss into `out` and publishes a copy.
+  Probe Lookup(std::string_view key, uint64_t hash, Prefix prefix,
+               List* out);
+  /// Issues the one inner Fetch of an admitted miss into `out` and
+  /// publishes a copy.
   void Fill(std::string_view key, graph::LinkTypeId link,
             rel::FkDirection dir, rel::TupleId parent_tuple, List* out);
 
   OsBackend* inner_;
   mutable util::Mutex mu_;
   util::BoundedLru<List> lru_ GUARDED_BY(mu_);
+  /// Key hashes of first sightings; 0 marks an empty slot.
+  std::vector<uint64_t> doorkeeper_ GUARDED_BY(mu_);
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
+  uint64_t admitted_ GUARDED_BY(mu_) = 0;
   uint64_t discarded_inserts_ GUARDED_BY(mu_) = 0;
 };
 

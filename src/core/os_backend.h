@@ -10,10 +10,10 @@
 // precomputed adjacency: a Fetch is a few-ns read. The database back end
 // pays one statement per call, so it says per_statement(), and
 // search::SearchContext puts a core::JoinCache (join_cache.h) in front of
-// it: a decorator that is itself an OsBackend, answers a repeated
-// (link, direction, parent tuple) join from the list the first statement
-// returned, and leaves the inner back end's counters to count only the
-// statements actually issued. The data graph gets no tier; caching its
+// it: a decorator that is itself an OsBackend, keeps a (link, direction,
+// parent tuple) join's list once the join is seen a second time, answers
+// later calls from it, and leaves the inner back end's counters to count
+// only the statements actually issued. The data graph gets no tier; caching its
 // adjacency again would only add a lock and a hash probe to each read.
 #ifndef OSUM_CORE_OS_BACKEND_H_
 #define OSUM_CORE_OS_BACKEND_H_

@@ -41,10 +41,11 @@ std::string FormatMetricsReport(const Metrics& m) {
          static_cast<unsigned long long>(m.partials.evictions),
          static_cast<unsigned long long>(m.partials.entries),
          static_cast<unsigned long long>(m.partials.approx_bytes));
-  append("joins: hits %llu, misses %llu, discarded %llu, evictions %llu, "
-         "entries %llu (~%llu bytes)\n",
+  append("joins: hits %llu, misses %llu (%llu admitted), discarded %llu, "
+         "evictions %llu, entries %llu (~%llu bytes)\n",
          static_cast<unsigned long long>(m.joins.hits),
          static_cast<unsigned long long>(m.joins.misses),
+         static_cast<unsigned long long>(m.joins.admitted),
          static_cast<unsigned long long>(m.joins.discarded_inserts),
          static_cast<unsigned long long>(m.joins.evictions),
          static_cast<unsigned long long>(m.joins.entries),
