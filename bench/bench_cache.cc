@@ -191,8 +191,7 @@ double RunLongTailArm(const search::SearchContext& ctx,
   so.num_threads = 1;
   so.cache.max_entries = 2 * universe.size();  // bytes are the binding cap
   so.cache.max_bytes = max_bytes;
-  so.cache.policy.admission_enabled = admission_on;
-  so.cache.policy.admission_window_micros = 3600ull * 1'000'000;
+  so.cache.admission_enabled = admission_on;
   serve::QueryService service(ctx, so);
 
   size_t hot_requests = 0, hot_hits = 0;

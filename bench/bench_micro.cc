@@ -238,9 +238,7 @@ int ReportPartialsWorkload(bench::JsonReport& report, bool tiny) {
   };
   search::SearchContext with_memo = build();
   search::SearchContext without_memo = build();
-  core::PartialsMemoOptions off;
-  off.enabled = false;
-  without_memo.partials_memo().Configure(off);
+  without_memo.partials_memo().SetEnabled(false);
 
   // Every keyword set overlaps the others on the Faloutsos/databases
   // subjects, so passes 2+ reuse the memoized per-subject trees.
@@ -309,9 +307,7 @@ int ReportLSweep(bench::JsonReport& report, bool tiny) {
   };
   search::SearchContext with_memo = build();
   search::SearchContext without_memo = build();
-  core::PartialsMemoOptions off;
-  off.enabled = false;
-  without_memo.partials_memo().Configure(off);
+  without_memo.partials_memo().SetEnabled(false);
 
   // The first few customer and supplier names; each matches one subject.
   const rel::TupleId per_relation = tiny ? 2 : 8;

@@ -17,16 +17,13 @@
 //                              (negative answers flagged "neg") and the
 //                              observed latency (repeat a query to watch
 //                              the result cache kick in)
-//   policy [ttl=<s>] [neg_ttl=<s>] [admission=on|off] [window=<s>]
-//                              show or set the cache policy (TTLs in
-//                              seconds; 0 = never expire). Setting any
-//                              knob restarts the serving layer with a
-//                              fresh cache.
-//   sweep                      erase expired cache entries now (the sweep
-//                              half of lazy-plus-sweep expiry)
+//   policy [admission=on|off]  show or set the cache policy (admission=on
+//                              caches a query only on its second
+//                              sighting). Setting it restarts the serving
+//                              layer with a fresh cache.
 //   metrics                    serving-layer snapshot: hit/miss counters
-//                              (negative hits split out), admission/TTL
-//                              policy counters, cache occupancy, the
+//                              (negative hits split out), admission
+//                              counters, cache occupancy, the
 //                              partials memo and join tier counters,
 //                              latency percentiles
 //   serve-tcp [port|stop]      start the TCP front end on 127.0.0.1 (port
@@ -49,7 +46,6 @@
 //   ./osum_cli "build dblp; serve faloutsos 10; serve faloutsos 10; metrics"
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -163,10 +159,8 @@ void PrintHelp() {
       "  budget <keywords...> <w>   word-budget summary (~w words)\n"
       "  serve <keywords...> [l]    query via the serving layer (HIT/MISS +\n"
       "                             latency; repeat to watch the cache)\n"
-      "  policy [ttl=<s>] [neg_ttl=<s>] [admission=on|off] [window=<s>]\n"
-      "                             show or set the cache policy (restarts\n"
+      "  policy [admission=on|off]  show or set the cache policy (restarts\n"
       "                             the serving layer when set)\n"
-      "  sweep                      erase expired cache entries now\n"
       "  metrics                    serving-layer counters + latencies\n"
       "  serve-tcp [port|stop]      start/stop the TCP front end (graceful\n"
       "                             drain on stop)\n"
@@ -310,76 +304,24 @@ void RunCommand(Session& session, const std::string& line) {
     return;
   }
   if (claim({"policy"})) {
-    // Parse into a scratch copy and commit all-or-nothing: a rejected
-    // command must not leave half-applied knobs latent in the session.
-    serve::CachePolicyOptions staged = session.serve_options.cache.policy;
-    bool changed = false;
-    bool bad = false;
+    // Validate every argument before applying any: a rejected command must
+    // not leave a half-applied policy latent in the session.
+    std::optional<bool> admission;
     for (size_t i = 1; i < args.size(); ++i) {
-      const std::string& a = args[i];
-      size_t eq = a.find('=');
-      std::string k = a.substr(0, eq);
-      std::string v = eq == std::string::npos ? "" : a.substr(eq + 1);
-      auto seconds_to_micros = [&](uint64_t* out) {
-        try {
-          size_t consumed = 0;
-          double seconds = std::stod(v, &consumed);
-          // The whole value must parse ("5abc" is an error, not 5), and
-          // NaN/inf/negatives/absurd values are rejected before the
-          // uint64_t cast (out-of-range double->unsigned conversion is
-          // UB). 1e12 seconds is ~31,000 years — anything larger is a
-          // typo.
-          if (consumed != v.size() || !std::isfinite(seconds) ||
-              seconds < 0 || seconds > 1e12) {
-            bad = true;
-            return;
-          }
-          *out = static_cast<uint64_t>(seconds * 1e6);
-          changed = true;
-        } catch (...) {
-          bad = true;
-        }
-      };
-      if (k == "ttl") {
-        seconds_to_micros(&staged.ttl_micros);
-      } else if (k == "neg_ttl") {
-        seconds_to_micros(&staged.negative_ttl_micros);
-      } else if (k == "window") {
-        seconds_to_micros(&staged.admission_window_micros);
-      } else if (k == "admission" && (v == "on" || v == "off")) {
-        staged.admission_enabled = v == "on";
-        changed = true;
-      } else {
-        bad = true;
+      if (args[i] != "admission=on" && args[i] != "admission=off") {
+        std::puts("usage: policy [admission=on|off]");
+        return;
       }
+      admission = args[i] == "admission=on";
     }
-    if (bad) {
-      std::puts(
-          "usage: policy [ttl=<s>] [neg_ttl=<s>] [admission=on|off] "
-          "[window=<s>]");
-      return;
-    }
-    serve::CachePolicyOptions& p = session.serve_options.cache.policy;
-    p = staged;
-    if (changed) {
+    bool& enabled = session.serve_options.cache.admission_enabled;
+    if (admission) {
+      enabled = *admission;
       session.tcp_server.reset();  // serves from the service being replaced
       session.service.reset();     // next `serve` gets the policy
     }
-    std::printf("policy: ttl=%.3fs neg_ttl=%.3fs admission=%s window=%.3fs%s\n",
-                static_cast<double>(p.ttl_micros) / 1e6,
-                static_cast<double>(p.negative_ttl_micros) / 1e6,
-                p.admission_enabled ? "on" : "off",
-                static_cast<double>(p.admission_window_micros) / 1e6,
-                changed ? " (serving layer restarted)" : "");
-    return;
-  }
-  if (claim({"sweep"})) {
-    if (session.service == nullptr) {
-      std::puts("serving layer idle; run 'serve <keywords>' first");
-      return;
-    }
-    std::printf("swept %zu expired entr(ies)\n",
-                session.service->SweepExpiredCache());
+    std::printf("policy: admission=%s%s\n", enabled ? "on" : "off",
+                admission ? " (serving layer restarted)" : "");
     return;
   }
   if (claim({"query", "json", "budget"})) {
@@ -590,8 +532,9 @@ int main(int argc, char** argv) {
   for (const char* cmd :
        {"build dblp", "stats", "gds Author", "query faloutsos 8",
         "budget faloutsos 40", "serve faloutsos 8", "serve faloutsos 8",
-        "query --wire json faloutsos 5", "policy neg_ttl=60",
-        "serve nosuchkeyword 8", "serve nosuchkeyword 8", "serve-tcp 0",
+        "query --wire json faloutsos 5", "policy admission=on",
+        "serve nosuchkeyword 8", "serve nosuchkeyword 8",
+        "serve nosuchkeyword 8", "serve-tcp 0",
         "connect faloutsos 8", "connect deadline=60000000 faloutsos 8",
         "serve-tcp stop",
         "metrics"}) {

@@ -27,7 +27,10 @@
 # not a missing-database error), and the CLI's cached path must work end
 # to end (`osum_cli "build dblp; serve faloutsos 6; serve faloutsos 6;
 # metrics"` prints a MISS line, then a HIT line, then a metrics report
-# counting 2 queries and 1 hit). The `quickstart` and `dblp_search` examples
+# counting 2 queries and 1 hit), and so must its admission policy (with
+# `policy admission=on`, three serves print MISS, MISS, HIT and the report
+# counts 1 admission reject; `policy ttl=5` prints the usage line). The
+# `quickstart` and `dblp_search` examples
 # must each exit 0 and print a non-empty ranked result. Finally the serving
 # benchmark (perfbench/run.py) builds from this checkout and runs each of
 # its three workloads for 2 s, plus one traced run; every run's result line
@@ -237,6 +240,32 @@ for line in lines:
 assert at == len(want), f"cli cache smoke: missing {want[at]!r} in order"
 print("cli cache smoke ok")
 PY
+
+# CLI admission smoke: with the doorkeeper on, a query is cached on its
+# second sighting, so three serves are a miss, a miss and a hit, and the
+# metrics report counts the one rejected first sighting. A removed policy
+# knob (ttl=) must be refused with the usage line, not silently ignored.
+echo "==== cli admission smoke (osum_cli policy admission=on; serve x3) ===="
+admission_out="build-release/cli_admission_smoke.out"
+build-release/examples/osum_cli \
+    "build dblp; policy admission=on; serve faloutsos 6; serve faloutsos 6; serve faloutsos 6; metrics" \
+    > "${admission_out}"
+python3 - "${admission_out}" <<'PY'
+import re, sys
+lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
+want = [r"^\[MISS, ", r"^\[MISS, ", r"^\[HIT, ",
+        r"^policy: admission rejects 1 "]
+at = 0
+for line in lines:
+    if at < len(want) and re.match(want[at], line):
+        at += 1
+assert at == len(want), f"cli admission smoke: missing {want[at]!r} in order"
+print("cli admission smoke ok")
+PY
+build-release/examples/osum_cli "build dblp; policy ttl=5" \
+    > build-release/cli_policy_usage_smoke.out
+grep -q '^usage: policy ' build-release/cli_policy_usage_smoke.out
+echo "cli policy usage smoke ok"
 
 # Examples smoke: each example builds its own SearchContext and prints
 # ranked results ("--- |OS|=..." in quickstart, "#1  [importance ..." in

@@ -4,9 +4,8 @@
 
 namespace osum::core {
 
-PartialsMemo::PartialsMemo(PartialsMemoOptions options)
-    : enabled_(options.enabled),
-      lru_(options.max_entries, options.max_bytes) {}
+PartialsMemo::PartialsMemo(size_t max_entries, size_t max_bytes)
+    : lru_(max_entries, max_bytes) {}
 
 PartialPtr PartialsMemo::Lookup(const std::string& key) {
   util::MutexLock lock(mu_);
@@ -37,12 +36,11 @@ bool PartialsMemo::Insert(const std::string& key, PartialPtr value) {
   return true;
 }
 
-void PartialsMemo::Configure(const PartialsMemoOptions& options) {
+void PartialsMemo::SetEnabled(bool enabled) {
   util::MutexLock lock(mu_);
-  enabled_ = options.enabled;
+  enabled_ = enabled;
   // Disabling flushes without counting evictions.
   if (!enabled_) lru_.Clear();
-  lru_.SetBudgets(options.max_entries, options.max_bytes);
 }
 
 bool PartialsMemo::enabled() const {

@@ -44,16 +44,6 @@ struct PartialSynopsis {
 
 using PartialPtr = std::shared_ptr<const PartialSynopsis>;
 
-/// Sizing knob, applied to a context's memo through Configure.
-struct PartialsMemoOptions {
-  /// Master switch: disabled means Lookup always misses (uncounted) and
-  /// Insert is a no-op — the query path behaves exactly as if the memo
-  /// did not exist.
-  bool enabled = true;
-  size_t max_entries = 4096;
-  size_t max_bytes = size_t{32} << 20;
-};
-
 /// Point-in-time counters. Monotonic except entries/approx_bytes
 /// (current occupancy).
 struct PartialsMemoMetrics {
@@ -74,7 +64,13 @@ struct PartialsMemoMetrics {
 /// copies or DP work.
 class PartialsMemo {
  public:
-  explicit PartialsMemo(PartialsMemoOptions options = {});
+  static constexpr size_t kMaxEntries = 4096;
+  static constexpr size_t kMaxBytes = size_t{32} << 20;
+
+  /// The budgets are parameters for tests only; SearchContext uses the
+  /// defaults.
+  explicit PartialsMemo(size_t max_entries = kMaxEntries,
+                        size_t max_bytes = kMaxBytes);
 
   PartialsMemo(const PartialsMemo&) = delete;
   PartialsMemo& operator=(const PartialsMemo&) = delete;
@@ -88,15 +84,18 @@ class PartialsMemo {
   /// budget.
   bool Insert(const std::string& key, PartialPtr value);
 
-  /// Applies a new sizing configuration (evicting down if it shrank).
-  void Configure(const PartialsMemoOptions& options);
+  /// The master switch (on by default): off flushes the memo, and then
+  /// Lookup always misses (uncounted) and Insert is a no-op — the query
+  /// path behaves exactly as if the memo did not exist. The memo-off
+  /// reference path the tests and bench_micro compare against.
+  void SetEnabled(bool enabled);
 
   bool enabled() const;
   PartialsMemoMetrics metrics() const;
 
  private:
   mutable util::Mutex mu_;
-  bool enabled_ GUARDED_BY(mu_);
+  bool enabled_ GUARDED_BY(mu_) = true;
   util::BoundedLru<PartialPtr> lru_ GUARDED_BY(mu_);
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;

@@ -1,11 +1,12 @@
-// Injectable time source for the serving layer's cache policies.
+// Injectable time source for the serving layer's request deadlines.
 //
-// Every time-based behavior in serve (entry TTLs, negative-result TTLs,
-// the admission filter's sliding window) reads the clock through this
-// interface, so tests drive expiry with a FakeClock and zero sleeps: a
-// policy that can only be observed by waiting is a policy that cannot be
-// model-checked. Production uses the process-wide SystemClock (steady,
-// monotonic — wall-clock jumps must not mass-expire a cache).
+// QueryService measures every deadline against this interface (the
+// admission-time and dequeue-time budget checks), and net::Server stamps
+// absolute deadlines on the same clock, so tests drive expiry with a
+// FakeClock and zero sleeps: a behavior that can only be observed by
+// waiting cannot be tested deterministically. Production uses the
+// process-wide SystemClock (steady, monotonic — a wall-clock jump must
+// not expire every pending request at once).
 #ifndef OSUM_SERVE_CLOCK_H_
 #define OSUM_SERVE_CLOCK_H_
 
@@ -17,8 +18,8 @@
 namespace osum::serve {
 
 /// Monotonic microsecond time source. Implementations must be
-/// thread-safe: the cache reads the clock under its lock from
-/// every serving thread.
+/// thread-safe: the service and the server read the clock from every
+/// serving thread.
 class Clock {
  public:
   virtual ~Clock() = default;
@@ -36,8 +37,8 @@ class SystemClock : public Clock {
             .count());
   }
 
-  /// Shared instance for the default-constructed cache (the clock is
-  /// stateless; one is plenty).
+  /// Shared instance for a service constructed without a clock (the
+  /// clock is stateless; one is plenty).
   static std::shared_ptr<const SystemClock> Instance() {
     static std::shared_ptr<const SystemClock> instance =
         std::make_shared<const SystemClock>();

@@ -21,12 +21,9 @@ std::string FormatMetricsReport(const Metrics& m) {
          static_cast<unsigned long long>(m.cache.entries),
          static_cast<unsigned long long>(m.cache.approx_bytes),
          static_cast<unsigned long long>(m.cache.evictions));
-  append("policy: admission rejects %llu (%llu tracked), ttl expiries "
-         "%llu positive + %llu negative\n",
+  append("policy: admission rejects %llu (%llu tracked)\n",
          static_cast<unsigned long long>(m.cache.admission_rejects),
-         static_cast<unsigned long long>(m.cache.tracked_sightings),
-         static_cast<unsigned long long>(m.cache.ttl_expiries),
-         static_cast<unsigned long long>(m.cache.negative_ttl_expiries));
+         static_cast<unsigned long long>(m.cache.tracked_sightings));
   append("overload: sheds %llu at admission + %llu at dequeue, "
          "%llu misses pending\n",
          static_cast<unsigned long long>(m.sheds_at_admission),

@@ -1,7 +1,7 @@
 // Observability snapshots for the serving layer.
 //
 // Counters answer "is the cache earning its memory?" (hit rate, coalesced
-// stampedes, eviction pressure, admission rejects, TTL expiries) and the
+// stampedes, eviction pressure, admission rejects) and the
 // latency summaries answer "what do callers actually experience?" — split
 // by hit/miss because the two populations differ by orders of magnitude (a
 // hit is a mutex + pointer copy; a miss is full OS generation, ~65x more
@@ -25,7 +25,7 @@ namespace osum::serve {
 struct CacheMetrics {
   uint64_t hits = 0;
   /// The subset of hits whose cached value was a negative (OK-empty)
-  /// answer — the entries the negative TTL governs.
+  /// answer.
   uint64_t negative_hits = 0;
   uint64_t misses = 0;
   /// Lookups that found another thread already computing the same key and
@@ -35,14 +35,9 @@ struct CacheMetrics {
   /// Completed computations whose insert was discarded because the key
   /// was already filled meanwhile (a safety check; coalescing keeps it 0).
   uint64_t discarded_inserts = 0;
-  /// Computed results the doorkeeper declined to cache (first sighting
-  /// within the admission window — the long-tail filter at work).
+  /// Computed results the doorkeeper declined to cache (first sighting —
+  /// the long-tail filter at work).
   uint64_t admission_rejects = 0;
-  /// Positive entries erased because their TTL elapsed (lazily or by
-  /// SweepExpired).
-  uint64_t ttl_expiries = 0;
-  /// Negative (OK-empty) entries erased because the negative TTL elapsed.
-  uint64_t negative_ttl_expiries = 0;
   /// Current occupancy.
   uint64_t entries = 0;
   uint64_t approx_bytes = 0;

@@ -40,8 +40,8 @@ util::Summary QueryService::LatencyRing::Snapshot() const {
 QueryService::QueryService(const search::SearchContext& context,
                            ServiceOptions options)
     : options_(options),
-      clock_(options.cache.clock != nullptr
-                 ? options.cache.clock
+      clock_(options.clock != nullptr
+                 ? options.clock
                  : std::shared_ptr<const Clock>(SystemClock::Instance())),
       context_(context),
       cache_(options.cache),

@@ -55,9 +55,8 @@
 namespace osum::serve {
 
 /// Overload-control knobs. Submit takes each request's absolute deadline
-/// on the service clock (the same injectable Clock the cache policies
-/// use) and sheds work that cannot be answered in time — before it ever
-/// touches the backend.
+/// on the service clock (ServiceOptions::clock) and sheds work that
+/// cannot be answered in time — before it ever touches the backend.
 struct OverloadOptions {
   /// High watermark on pooled misses (admitted but not yet computing).
   /// When an arriving miss finds this many already pending, the
@@ -72,6 +71,9 @@ struct ServiceOptions {
   size_t num_threads = 0;
   ResultCacheOptions cache;
   OverloadOptions overload;
+  /// Time source for request deadlines; null uses the shared SystemClock.
+  /// Tests inject a FakeClock here.
+  std::shared_ptr<const Clock> clock;
 };
 
 class QueryService {
@@ -111,16 +113,10 @@ class QueryService {
   void Submit(api::QueryRequest request, uint64_t deadline_micros,
               std::function<void(api::QueryResponse)> on_done);
 
-  /// Maintenance tick for the cache policy: erases expired entries and
-  /// prunes stale doorkeeper sightings (see ResultCache::SweepExpired).
-  /// Returns the number of entries erased. Optional — lazy expiry already
-  /// guarantees expired entries are never served.
-  size_t SweepExpiredCache() { return cache_.SweepExpired(); }
-
   size_t num_threads() const { return pool_.size(); }
 
-  /// The time source deadlines are measured against: options.cache.clock,
-  /// or the shared SystemClock when none was injected. Front ends stamp
+  /// The time source deadlines are measured against: options.clock, or
+  /// the shared SystemClock when none was injected. Front ends stamp
   /// absolute deadlines (`clock()->NowMicros() + budget`, saturating) on
   /// this clock so service-side expiry checks compare like with like.
   const std::shared_ptr<const Clock>& clock() const { return clock_; }

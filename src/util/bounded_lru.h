@@ -79,29 +79,10 @@ class BoundedLru {
     lru_.erase(it);
   }
 
-  /// The sweep walk: erases from the oldest end while `pred(entry)` holds
-  /// (not counted as evictions). Returns the number erased.
-  template <typename Pred>
-  size_t EraseOldestWhile(Pred pred) {
-    size_t erased = 0;
-    while (!lru_.empty() && pred(lru_.back())) {
-      Erase(std::prev(lru_.end()));
-      ++erased;
-    }
-    return erased;
-  }
-
   void Clear() {
     index_.clear();
     lru_.clear();
     bytes_ = 0;
-  }
-
-  /// Replaces both budgets, evicting down to them.
-  void SetBudgets(size_t max_entries, size_t max_bytes) {
-    max_entries_ = max_entries;
-    max_bytes_ = max_bytes;
-    EvictOverBudget();
   }
 
   iterator begin() { return lru_.begin(); }
@@ -119,8 +100,8 @@ class BoundedLru {
     }
   }
 
-  size_t max_entries_;
-  size_t max_bytes_;
+  const size_t max_entries_;
+  const size_t max_bytes_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::string_view, iterator> index_;
   size_t bytes_ = 0;

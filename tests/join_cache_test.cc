@@ -179,10 +179,8 @@ void ExpectTieredContextMatchesDataGraph(
   ASSERT_FALSE(graph_backend->per_statement());
   SearchContext tiered = SearchContext::Build(db, &database, subjects);
   SearchContext reference = SearchContext::Build(db, graph_backend, subjects);
-  PartialsMemoOptions memo_off;
-  memo_off.enabled = false;
-  tiered.partials_memo().Configure(memo_off);
-  reference.partials_memo().Configure(memo_off);
+  tiered.partials_memo().SetEnabled(false);
+  reference.partials_memo().SetEnabled(false);
 
   size_t queries = 0, answered = 0;
   for (int pass = 0; pass < 2; ++pass) {

@@ -664,7 +664,7 @@ TEST(NetOverload, TightDeadlinesShedWithoutComputeGenerousOnesSucceed) {
   auto clock = std::make_shared<serve::FakeClock>();
   serve::ServiceOptions so;
   so.num_threads = 1;
-  so.cache.clock = clock;
+  so.clock = clock;
   serve::QueryService service(context, so);
   Server server(&service);
   ASSERT_TRUE(server.Start().ok());
@@ -762,7 +762,7 @@ TEST(NetOverload, HugeDeadlineBudgetSaturatesInsteadOfExpiring) {
   auto clock = std::make_shared<serve::FakeClock>();
   clock->AdvanceSeconds(60);  // any nonzero now overflows now + UINT64_MAX
   serve::ServiceOptions so = SmallService();
-  so.cache.clock = clock;
+  so.clock = clock;
   serve::QueryService service(context, so);
   Server server(&service);
   ASSERT_TRUE(server.Start().ok());

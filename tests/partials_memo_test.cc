@@ -27,7 +27,6 @@ using api::DeterministicResultText;
 using core::PartialPtr;
 using core::PartialsMemo;
 using core::PartialsMemoMetrics;
-using core::PartialsMemoOptions;
 using core::PartialSynopsis;
 using osum::testing::ScoredDblp;
 using osum::testing::ScoredTpch;
@@ -65,9 +64,7 @@ TEST(PartialsMemoTest, LookupReturnsTheInsertedValue) {
 }
 
 TEST(PartialsMemoTest, EntryBudgetEvictsLeastRecentlyUsed) {
-  PartialsMemoOptions options;
-  options.max_entries = 3;
-  PartialsMemo memo(options);
+  PartialsMemo memo(/*max_entries=*/3);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(memo.Insert(NumberedKey(i), MakePartial(10)));
   }
@@ -84,9 +81,7 @@ TEST(PartialsMemoTest, EntryBudgetEvictsLeastRecentlyUsed) {
 }
 
 TEST(PartialsMemoTest, LookupRefreshesLruPosition) {
-  PartialsMemoOptions options;
-  options.max_entries = 2;
-  PartialsMemo memo(options);
+  PartialsMemo memo(/*max_entries=*/2);
   ASSERT_TRUE(memo.Insert("old", MakePartial(10)));
   ASSERT_TRUE(memo.Insert("mid", MakePartial(10)));
   // Touch "old" so "mid" becomes the eviction victim.
@@ -98,9 +93,7 @@ TEST(PartialsMemoTest, LookupRefreshesLruPosition) {
 }
 
 TEST(PartialsMemoTest, ByteBudgetEvictsButKeepsTheNewestEntry) {
-  PartialsMemoOptions options;
-  options.max_bytes = 100;
-  PartialsMemo memo(options);
+  PartialsMemo memo(PartialsMemo::kMaxEntries, /*max_bytes=*/100);
   ASSERT_TRUE(memo.Insert("a", MakePartial(60)));
   ASSERT_TRUE(memo.Insert("b", MakePartial(60)));  // evicts "a"
   PartialsMemoMetrics m = memo.metrics();
@@ -128,28 +121,11 @@ TEST(PartialsMemoTest, DuplicateInsertLosesToTheExistingEntry) {
   EXPECT_EQ(memo.Lookup("k"), first);
 }
 
-TEST(PartialsMemoTest, ConfigureShrinkEvictsDownToTheNewBudget) {
-  PartialsMemo memo;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(memo.Insert(NumberedKey(i), MakePartial(10)));
-  }
-  PartialsMemoOptions smaller;
-  smaller.max_entries = 2;
-  memo.Configure(smaller);
-  PartialsMemoMetrics m = memo.metrics();
-  EXPECT_EQ(m.entries, 2u);
-  EXPECT_EQ(m.evictions, 3u);
-  EXPECT_NE(memo.Lookup("k4"), nullptr);
-  EXPECT_EQ(memo.Lookup("k0"), nullptr);
-}
-
 TEST(PartialsMemoTest, DisabledMemoIsInert) {
   PartialsMemo memo;
   ASSERT_TRUE(memo.Insert("k", MakePartial(10)));
 
-  PartialsMemoOptions off;
-  off.enabled = false;
-  memo.Configure(off);
+  memo.SetEnabled(false);
   EXPECT_FALSE(memo.enabled());
   PartialsMemoMetrics m = memo.metrics();
   EXPECT_EQ(m.entries, 0u);  // disabling flushes
@@ -178,9 +154,7 @@ TEST(PartialsMemoIntegration, MemoOnMatchesMemoOffByteForByte) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext with_memo = BuildDblpContext(f.d, &f.backend);
   search::SearchContext without_memo = BuildDblpContext(f.d, &f.backend);
-  PartialsMemoOptions off;
-  off.enabled = false;
-  without_memo.partials_memo().Configure(off);
+  without_memo.partials_memo().SetEnabled(false);
 
   api::QueryOptions options;
   options.l = 5;
@@ -237,9 +211,7 @@ TEST(PartialsMemoIntegration, DistinctLAndAlgorithmDoNotCollide) {
 
   // Golden answers from a memo-free context.
   search::SearchContext plain = BuildDblpContext(f.d, &f.backend);
-  PartialsMemoOptions off;
-  off.enabled = false;
-  plain.partials_memo().Configure(off);
+  plain.partials_memo().SetEnabled(false);
 
   // Warm every variant through one shared memo, then check each against
   // its own golden — a key collision would cross-contaminate.
@@ -267,9 +239,7 @@ search::SearchContext BuildTpchContext(const datasets::Tpch& t,
 }
 
 search::SearchContext MemoOff(search::SearchContext ctx) {
-  PartialsMemoOptions off;
-  off.enabled = false;
-  ctx.partials_memo().Configure(off);
+  ctx.partials_memo().SetEnabled(false);
   return ctx;
 }
 

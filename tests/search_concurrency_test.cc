@@ -132,7 +132,7 @@ void ExpectBatchMatchesSerial(const SearchContext& ctx,
   ExpectBatchMatchesSerial(ctx, requests);
 }
 
-TEST(ExecuteBatchEquivalence, DataGraphBackendDblp) {
+TEST(ThreadedExecuteEquivalence, DataGraphBackendDblp) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryOptions options;
@@ -141,7 +141,7 @@ TEST(ExecuteBatchEquivalence, DataGraphBackendDblp) {
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
-TEST(ExecuteBatchEquivalence, DatabaseBackendDblp) {
+TEST(ThreadedExecuteEquivalence, DatabaseBackendDblp) {
   ScoredDblp f(SmallDblpConfig());
   // Latency 0: the simulated round-trip only burns wall clock and must not
   // affect results.
@@ -154,7 +154,7 @@ TEST(ExecuteBatchEquivalence, DatabaseBackendDblp) {
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
-TEST(ExecuteBatchEquivalence, BothBackendsAgreeOnTpch) {
+TEST(ThreadedExecuteEquivalence, BothBackendsAgreeOnTpch) {
   ScoredTpch f(SmallTpchConfig());
   core::DatabaseBackend sql(f.t.db, f.t.links, /*per_select_micros=*/0.0);
   std::vector<SearchContext::Subject> subjects;
@@ -190,7 +190,7 @@ TEST(ExecuteBatchEquivalence, BothBackendsAgreeOnTpch) {
   }
 }
 
-TEST(ExecuteBatchEquivalence, SummaryRankingMatchesSerial) {
+TEST(ThreadedExecuteEquivalence, SummaryRankingMatchesSerial) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryOptions options;
@@ -202,7 +202,7 @@ TEST(ExecuteBatchEquivalence, SummaryRankingMatchesSerial) {
 
 // One bad request in a batch fails alone: its threaded response matches
 // serial Execute, and its neighbors succeed.
-TEST(ExecuteBatchEquivalence, InvalidRequestFailsAlone) {
+TEST(ThreadedExecuteEquivalence, InvalidRequestFailsAlone) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   std::vector<QueryRequest> requests;

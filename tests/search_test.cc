@@ -273,9 +273,7 @@ std::vector<std::string> QueryLedgers(
       for (auto ranking : {api::ResultRanking::kSubjectImportance,
                            api::ResultRanking::kSummaryImportance}) {
         SearchContext ctx = SearchContext::Build(db, backend, subjects);
-        core::PartialsMemoOptions memo_options;
-        memo_options.enabled = memo_on;
-        ctx.partials_memo().Configure(memo_options);
+        ctx.partials_memo().SetEnabled(memo_on);
         backend->ResetStats();
         for (const auto& [keywords, query_options] : mix) {
           QueryOptions options = query_options;

@@ -136,7 +136,7 @@ std::future<api::QueryResponse> SubmitFuture(QueryService* service,
 
 /// Delegating back end that can hold every join call on a gate (to keep a
 /// query deterministically in flight) or fail it (to make Query throw) —
-/// the levers the in-flight, expiry and batch-exception tests need.
+/// the levers the in-flight, coalescing and batch-exception tests need.
 class GatedBackend : public core::OsBackend {
  public:
   explicit GatedBackend(core::OsBackend* inner)
@@ -822,98 +822,38 @@ TEST(QueryServicePolicy, NegativeHitsAttributedInStatsAndMetrics) {
   EXPECT_EQ(m.cache.hits, 1u);
 }
 
-// The cache-policy expiry scenario end-to-end, on a fake clock with zero
-// sleeps: an expired positive entry and an expired negative entry each
-// recompute exactly once (stampede coalescing preserved across expiry).
-TEST(QueryServicePolicy, ExpiryRecomputesOnce) {
+// Stampede coalescing at the service boundary: N Submits of one cold key,
+// all admitted while the first compute is parked on the gate, run exactly
+// one compute, and every caller gets that one immutable list.
+TEST(QueryServiceApi, ConcurrentColdSubmitsOfOneKeyComputeOnce) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
-
-  auto clock = std::make_shared<FakeClock>();
-  ServiceOptions so = SmallService();
-  so.cache.clock = clock;
-  so.cache.policy.ttl_micros = 1000;
-  so.cache.policy.negative_ttl_micros = 100;
-  // The partials memo would serve the post-expiry recompute without
-  // touching the (gated) backend — correct, but it would decouple the
-  // gate from the stampede this test proves. Disable the context's memo
-  // so the recompute demonstrably reaches the backend.
-  core::PartialsMemoOptions no_partials;
-  no_partials.enabled = false;
-  ctx.partials_memo().Configure(no_partials);
-  QueryService service(ctx, so);
-
+  QueryService service(ctx, SmallService());
   api::QueryOptions options;
   options.l = 8;
-  api::QueryRequest pos = api::QueryRequest("databases").WithOptions(options);
-  api::QueryRequest neg =
-      api::QueryRequest("nosuchkeywordanywhere").WithOptions(options);
+  api::QueryRequest request =
+      api::QueryRequest("databases").WithOptions(options);
 
-  // Warm both at t=0: deadlines land at +1000 (positive) / +100 (negative).
-  ASSERT_TRUE(service.Execute(pos).ok());
-  ASSERT_TRUE(service.Execute(neg).ok());
-  EXPECT_EQ(service.metrics().cache.misses, 2u);
-
-  // t=100: only the negative entry expired. Concurrent re-queries must
-  // produce exactly one recompute (the others coalesce or hit).
-  clock->AdvanceMicros(100);
-  EXPECT_TRUE(service.Execute(pos).stats.cache_hit) << "positive still live";
-  {
-    constexpr size_t kThreads = 4;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (size_t w = 0; w < kThreads; ++w) {
-      threads.emplace_back([&] {
-        api::QueryResponse r = service.Execute(neg);
-        if (!r.ok() || !r.stats.negative) ADD_FAILURE() << "bad neg answer";
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  Metrics after_neg = service.metrics();
-  EXPECT_EQ(after_neg.cache.misses, 3u);  // exactly one recompute
-  EXPECT_EQ(after_neg.cache.negative_ttl_expiries, 1u);
-  EXPECT_EQ(after_neg.cache.ttl_expiries, 0u);
-
-  // t=1000: the positive entry expired. Hold the recompute on the gate so
-  // the other callers are provably concurrent — still one compute.
-  clock->AdvanceMicros(900);
+  constexpr size_t kSubmits = 4;
   gated.CloseGate();
   std::vector<std::future<api::QueryResponse>> inflight;
-  for (int i = 0; i < 3; ++i) inflight.push_back(SubmitFuture(&service, pos));
+  for (size_t i = 0; i < kSubmits; ++i) {
+    inflight.push_back(SubmitFuture(&service, request));
+  }
   gated.WaitUntilBlocked();
   gated.OpenGate();
-  for (auto& fut : inflight) {
-    api::QueryResponse r = fut.get();
+  std::vector<api::QueryResponse> responses;
+  for (auto& fut : inflight) responses.push_back(fut.get());
+  for (const api::QueryResponse& r : responses) {
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(DeterministicResultText(r.result_list()),
-              DeterministicResultText(ctx.Query("databases", options)));
+    EXPECT_EQ(r.results.get(), responses[0].results.get());
   }
-  Metrics after_pos = service.metrics();
-  EXPECT_EQ(after_pos.cache.misses, 4u);  // exactly one recompute
-  EXPECT_EQ(after_pos.cache.ttl_expiries, 1u);
-}
-
-TEST(QueryServicePolicy, SweepExpiredCacheDropsOnlyExpiredEntries) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  auto clock = std::make_shared<FakeClock>();
-  ServiceOptions so = SmallService();
-  so.cache.clock = clock;
-  so.cache.policy.ttl_micros = 1000;
-  so.cache.policy.negative_ttl_micros = 100;
-  QueryService service(ctx, so);
-
-  ASSERT_TRUE(service.Execute(api::QueryRequest("databases")).ok());
-  ASSERT_TRUE(
-      service.Execute(api::QueryRequest("nosuchkeywordanywhere")).ok());
-  EXPECT_EQ(service.SweepExpiredCache(), 0u);
-  clock->AdvanceMicros(100);
-  EXPECT_EQ(service.SweepExpiredCache(), 1u);  // the negative entry
-  clock->AdvanceMicros(900);
-  EXPECT_EQ(service.SweepExpiredCache(), 1u);  // the positive entry
-  EXPECT_EQ(service.metrics().cache.entries, 0u);
+  EXPECT_EQ(DeterministicResultText(responses[0].result_list()),
+            DeterministicResultText(ctx.Query("databases", options)));
+  Metrics m = service.metrics();
+  EXPECT_EQ(m.cache.misses, 1u);  // exactly one compute
+  EXPECT_EQ(m.cache.hits + m.cache.coalesced_waits, kSubmits - 1);
 }
 
 // A request whose budget is already spent on arrival is answered
@@ -926,7 +866,7 @@ TEST(QueryServiceOverload, ExpiredAtAdmissionShedsWithoutBackendWork) {
   search::SearchContext ctx = BuildDblpContext(f.d, &counting);
   auto clock = std::make_shared<FakeClock>();
   ServiceOptions so = SmallService();
-  so.cache.clock = clock;
+  so.clock = clock;
   QueryService service(ctx, so);
   api::QueryOptions options;
   options.l = 8;
@@ -963,7 +903,7 @@ TEST(QueryServiceOverload, WatermarkShedsLowestBudgetFirst) {
   auto clock = std::make_shared<FakeClock>();
   ServiceOptions so;
   so.num_threads = 1;  // one worker: everything behind the gate queues
-  so.cache.clock = clock;
+  so.clock = clock;
   so.overload.max_pending_misses = 2;
   QueryService service(ctx, so);
   api::QueryOptions options;
@@ -1021,7 +961,7 @@ TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
   auto clock = std::make_shared<FakeClock>();
   ServiceOptions so;
   so.num_threads = 1;
-  so.cache.clock = clock;
+  so.clock = clock;
   so.overload.max_pending_misses = 1;
   QueryService service(ctx, so);
   api::QueryOptions options;
@@ -1066,7 +1006,7 @@ TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   auto clock = std::make_shared<FakeClock>();
   ServiceOptions so;
   so.num_threads = 1;
-  so.cache.clock = clock;
+  so.clock = clock;
   QueryService service(ctx, so);
   api::QueryOptions options;
   options.l = 8;
@@ -1127,8 +1067,6 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   m.cache.evictions = 5;
   m.cache.admission_rejects = 6;
   m.cache.tracked_sightings = 2;
-  m.cache.ttl_expiries = 8;
-  m.cache.negative_ttl_expiries = 9;
   m.sheds_at_admission = 3;
   m.sheds_at_dequeue = 1;
   m.pending_misses = 2;
@@ -1153,8 +1091,7 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   EXPECT_EQ(FormatMetricsReport(m),
             "queries 7 | hits 4 (1 negative), misses 3, coalesced 2 | "
             "entries 3 (~4096 bytes), evictions 5\n"
-            "policy: admission rejects 6 (2 tracked), ttl expiries "
-            "8 positive + 9 negative\n"
+            "policy: admission rejects 6 (2 tracked)\n"
             "overload: sheds 3 at admission + 1 at dequeue, "
             "2 misses pending\n"
             "partials: hits 12, misses 9, inserts 8 (1 discarded), "
