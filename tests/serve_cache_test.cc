@@ -156,7 +156,8 @@ ResultCacheOptions WithAdmission(size_t max_tracked = 0) {
   return o;
 }
 
-TEST(ResultCacheAdmission, SecondSightingAdmits) {
+// The window is now unbounded: a sighting leaves only through the cap.
+TEST(ResultCacheAdmission, SecondSightingWithinWindowAdmits) {
   ResultCache cache(WithAdmission());
 
   // First sighting: computed, returned, NOT cached.
@@ -169,14 +170,6 @@ TEST(ResultCacheAdmission, SecondSightingAdmits) {
   EXPECT_EQ(m.tracked_sightings, 1u);
   EXPECT_EQ(cache.Lookup("q"), nullptr);
 
-  // A sighting never ages: however much other traffic passes in between
-  // (short of the sighting cap, 8 x 64 here), the next sighting admits.
-  for (int i = 0; i < 100; ++i) {
-    cache.GetOrCompute("other-" + std::to_string(i),
-                       [] { return PositivePayload(1); });
-  }
-  EXPECT_EQ(cache.metrics().tracked_sightings, 101u);
-
   // Second sighting: admitted (and the sighting is consumed).
   bool computed = false;
   cache.GetOrCompute("q", [&] {
@@ -186,6 +179,27 @@ TEST(ResultCacheAdmission, SecondSightingAdmits) {
   EXPECT_TRUE(computed);  // admission caches the result; it can't conjure it
   m = cache.metrics();
   EXPECT_EQ(m.entries, 1u);
+  EXPECT_EQ(m.tracked_sightings, 0u);
+  EXPECT_NE(cache.Lookup("q"), nullptr);
+}
+
+// What the old zero window meant is now the only behaviour: no amount of
+// other traffic ages a sighting out, short of the sighting cap.
+TEST(ResultCacheAdmission, ZeroWindowMeansSightingsNeverAgeOut) {
+  ResultCache cache(WithAdmission());
+
+  cache.GetOrCompute("q", [] { return PositivePayload(1); });
+  EXPECT_EQ(cache.metrics().tracked_sightings, 1u);
+  // 100 other keys pass in between (the auto cap is 8 x 64 here).
+  for (int i = 0; i < 100; ++i) {
+    cache.GetOrCompute("other-" + std::to_string(i),
+                       [] { return PositivePayload(1); });
+  }
+  EXPECT_EQ(cache.metrics().tracked_sightings, 101u);
+
+  cache.GetOrCompute("q", [] { return PositivePayload(1); });
+  CacheMetrics m = cache.metrics();
+  EXPECT_EQ(m.entries, 1u);  // the 2nd sighting admits
   EXPECT_EQ(m.tracked_sightings, 100u);
   EXPECT_NE(cache.Lookup("q"), nullptr);
 }
