@@ -9,8 +9,8 @@
 //     DP runs through one shared DpScratch must cost O(1) arena blocks
 //     total, not O(nodes) allocations per tree;
 //   - partials_reused / partials_misses / partials_inserts /
-//     partials_entries — the per-subject OS-tree memo must get nonzero
-//     reuse on an overlapping-keyword workload;
+//     partials_entries — the per-subject memo of complete OSs must get
+//     nonzero reuse on an overlapping-keyword workload;
 //   - partials_sweep_reused / partials_sweep_misses — the paper's l sweep
 //     (5..50) over fixed TPC-H subjects with complete OSs and the DP: one
 //     tree per subject serves every l past the G_DS depth.
@@ -222,7 +222,8 @@ int ReportDpBatch(bench::JsonReport& report, bool tiny) {
   return 0;
 }
 
-// An overlapping-keyword workload through SearchContext, memo-on vs
+// An overlapping-keyword workload of complete OSs (the only trees the
+// memo keeps; prelim-l OSs bypass it) through SearchContext, memo-on vs
 // memo-off. The reuse counters are single-threaded and deterministic; the
 // byte-equivalence guard makes "fast but wrong" impossible to gate green.
 int ReportPartialsWorkload(bench::JsonReport& report, bool tiny) {
@@ -246,6 +247,7 @@ int ReportPartialsWorkload(bench::JsonReport& report, bool tiny) {
                                       "christos faloutsos", "databases"};
   api::QueryOptions options;
   options.l = tiny ? 5 : 15;
+  options.use_prelim = false;
   const int passes = tiny ? 2 : 4;
   for (int pass = 0; pass < passes; ++pass) {
     for (const std::string& q : queries) {

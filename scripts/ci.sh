@@ -27,7 +27,9 @@
 # not a missing-database error), and the CLI's cached path must work end
 # to end (`osum_cli "build dblp; serve faloutsos 6; serve faloutsos 6;
 # metrics"` prints a MISS line, then a HIT line, then a metrics report
-# counting 2 queries and 1 hit), and so must its admission policy (with
+# counting 2 queries and 1 hit, and its partials line reads hits 0,
+# misses 0, inserts 0 because those prelim-l trees never reach the memo
+# of complete OSs), and so must its admission policy (with
 # `policy admission=on`, three serves print MISS, MISS, HIT and the report
 # counts 1 admission reject; `policy ttl=5` prints the usage line). The
 # `quickstart` and `dblp_search` examples
@@ -222,8 +224,9 @@ grep -q "^unknown command 'frobnicate'" build-release/cli_unknown_smoke.out
 echo "cli unknown-command smoke ok"
 
 # CLI cache smoke: the same query served twice through QueryService is a
-# miss, then a hit, and FormatMetricsReport counts both. The three lines
-# must appear in this order.
+# miss, then a hit, and FormatMetricsReport counts both. Both serves are
+# prelim-l, so the partials memo (complete OSs only) sees no traffic. The
+# four lines must appear in this order.
 echo "==== cli cache smoke (osum_cli serve x2; metrics) ===="
 cache_out="build-release/cli_cache_smoke.out"
 build-release/examples/osum_cli \
@@ -232,7 +235,8 @@ build-release/examples/osum_cli \
 python3 - "${cache_out}" <<'PY'
 import re, sys
 lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
-want = [r"^\[MISS, ", r"^\[HIT, ", r"^queries 2 \| hits 1 "]
+want = [r"^\[MISS, ", r"^\[HIT, ", r"^queries 2 \| hits 1 ",
+        r"^partials: hits 0, misses 0, inserts 0 "]
 at = 0
 for line in lines:
     if at < len(want) and re.match(want[at], line):

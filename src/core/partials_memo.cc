@@ -43,11 +43,6 @@ void PartialsMemo::SetEnabled(bool enabled) {
   if (!enabled_) lru_.Clear();
 }
 
-bool PartialsMemo::enabled() const {
-  util::MutexLock lock(mu_);
-  return enabled_;
-}
-
 PartialsMemoMetrics PartialsMemo::metrics() const {
   util::MutexLock lock(mu_);
   PartialsMemoMetrics m;

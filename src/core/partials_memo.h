@@ -3,15 +3,17 @@
 //
 // Size-l OSs score independently per subject, and the expensive part of a
 // subject's work is generating its OS (the back-end joins), not the size-l
-// pass over it. A complete OS (Algorithm 5) depends on l only through the
-// depth cap min(l - 1, G_DS depth), so one tree serves l = 0 and every l
-// past the G_DS depth; a prelim-l OS (Algorithm 4) depends on l through
-// its AC1/AC2 cutoff and is memoized per l. The search query path looks a
-// (subject, generator, depth or l) key up before generating the OS,
-// inserts the generated tree on a miss, and runs size-l on every request,
-// hit or miss. Entries are immutable shared_ptrs — a hit copies the exact
-// tree a fresh generation would have produced, so memo-on and memo-off
-// results are byte-identical (pinned through DeterministicResultText).
+// pass over it. The memo holds complete OSs (Algorithm 5) only: a complete
+// OS depends on l only through the depth cap min(l - 1, G_DS depth), so
+// one tree serves l = 0 and every l past the G_DS depth. A prelim-l OS
+// (Algorithm 4) depends on l through its AC1/AC2 cutoff, so a kept tree
+// could answer only its own (subject, l) pair; the search query path
+// generates those afresh and never brings them here. For a complete OS it
+// looks a (subject, depth cap) key up before generating, inserts the
+// generated tree on a miss, and runs size-l on every request, hit or
+// miss. Entries are immutable shared_ptrs — a hit copies the exact tree a
+// fresh generation would have produced, so memo-on and memo-off results
+// are byte-identical (pinned through DeterministicResultText).
 //
 // Recency, the entry and byte budgets and eviction are util::BoundedLru
 // (util/bounded_lru.h); this class adds the enable switch and the
@@ -90,7 +92,6 @@ class PartialsMemo {
   /// reference path the tests and bench_micro compare against.
   void SetEnabled(bool enabled);
 
-  bool enabled() const;
   PartialsMemoMetrics metrics() const;
 
  private:

@@ -14,24 +14,21 @@ namespace osum::search {
 
 namespace {
 
-// The partials-memo key: exactly what determines a subject's generated OS
-// tree — the subject identity, the generator, and the one parameter the
-// generator reads. A complete OS (Algorithm 5) depends on l only through
-// its depth cap, so it is keyed by the effective cap and one tree serves
-// l = 0 and every l past the G_DS depth. A prelim-l OS (Algorithm 4) also
-// depends on l through its AC1/AC2 cutoff, so it is keyed by l. The
-// algorithm stays out (size-l runs on every request, hit or miss), and so
-// do max_results and ranking, which rank *across* subjects — splitting the
-// memo on them would stop overlapping-keyword queries from sharing work.
-std::string PartialsKey(const Hit& hit, bool prelim, size_t depth_or_l) {
+// The partials-memo key: exactly what determines a subject's complete OS
+// (Algorithm 5) — the subject identity and the effective depth cap, so
+// one tree serves l = 0 and every l past the G_DS depth. Short enough to
+// stay in std::string's small buffer. The algorithm stays out (size-l
+// runs on every request, hit or miss), and so do max_results and
+// ranking, which rank *across* subjects — splitting the memo on them
+// would stop overlapping-keyword queries from sharing work.
+std::string PartialsKey(const Hit& hit, size_t depth) {
   std::string key;
-  key.reserve(32);
   key += 'r';
   key += std::to_string(hit.relation);
   key += 't';
   key += std::to_string(hit.tuple);
-  key += prelim ? 'l' : 'd';
-  key += std::to_string(depth_or_l);
+  key += 'd';
+  key += std::to_string(depth);
   return key;
 }
 
@@ -135,36 +132,37 @@ core::OsTree SearchContext::AcquireOs(const Hit& hit,
   // connected size-l OS, so generation stops at depth l - 1. A complete
   // OS never grows past the G_DS depth, so capping there instead
   // changes nothing and lets every l past it share one tree.
-  const bool prelim = options.l > 0 && options.use_prelim;
   size_t depth = static_cast<size_t>(gds.MaxDepth());
   if (options.l > 0) depth = std::min(depth, options.l - 1);
-
-  core::PartialsMemo& memo = *partials_memo_;
-  const bool use_memo = memo.enabled();
-  std::string memo_key;
-  if (use_memo) {
-    memo_key = PartialsKey(hit, prelim, prelim ? options.l : depth);
-    if (core::PartialPtr memoized = memo.Lookup(memo_key)) {
-      // The memoized tree is exactly what generation below would produce
-      // for this key — copying it keeps results byte-identical to the
-      // memo-off path.
-      return memoized->os;
-    }
-  }
-
   core::OsGenOptions gen;
   gen.max_depth = static_cast<int32_t>(depth);
-  core::OsTree os =
-      prelim ? core::GeneratePrelimOs(*db_, gds, backend_, hit.tuple,
-                                      options.l, gen)
-             : core::GenerateCompleteOs(*db_, gds, backend_, hit.tuple, gen);
-  if (use_memo) {
-    auto partial = std::make_shared<core::PartialSynopsis>();
-    partial->os = os;
-    partial->approx_bytes =
-        sizeof(core::PartialSynopsis) + os.ApproxHeapBytes();
-    memo.Insert(memo_key, std::move(partial));
+
+  // A prelim-l OS (Algorithm 4) is cut by the AC1/AC2 bounds, which
+  // depend on l, so a kept tree could answer only its own (subject, l)
+  // pair; it is generated afresh every time and never reaches the memo.
+  if (options.l > 0 && options.use_prelim) {
+    return core::GeneratePrelimOs(*db_, gds, backend_, hit.tuple, options.l,
+                                  gen);
   }
+
+  // A disabled memo misses on every Lookup and drops every Insert.
+  core::PartialsMemo& memo = *partials_memo_;
+  const std::string memo_key = PartialsKey(hit, depth);
+  if (core::PartialPtr memoized = memo.Lookup(memo_key)) {
+    // The memoized tree is exactly what generation below would produce
+    // for this key — copying it keeps results byte-identical to the
+    // memo-off path.
+    return memoized->os;
+  }
+  core::OsTree os =
+      core::GenerateCompleteOs(*db_, gds, backend_, hit.tuple, gen);
+  // The memo keeps the copy, whose buffers are exact-sized and allocated
+  // in node order, because every later hit copies from it.
+  auto partial = std::make_shared<core::PartialSynopsis>();
+  partial->os = os;
+  partial->approx_bytes =
+      sizeof(core::PartialSynopsis) + os.ApproxHeapBytes();
+  memo.Insert(memo_key, std::move(partial));
   return os;
 }
 

@@ -13,8 +13,9 @@
 //   - Query — the compute primitive (string_view keywords + QueryOptions,
 //     exceptions propagate). The serving layer's cache compute callback
 //     rides it. It runs named stages in order: RankedHits (index lookup
-//     and pre-rank), then per hit AcquireOs (partials memo or OS
-//     generation) and the size-l selection, then the summary ranking.
+//     and pre-rank), then per hit AcquireOs (prelim-l generation, or the
+//     partials memo in front of complete-OS generation) and the size-l
+//     selection, then the summary ranking.
 //   - Execute — the public api::QueryRequest -> api::QueryResponse
 //     contract over Query: validation and backend failures come back as
 //     typed Status codes (never exceptions), responses carry compute-time
@@ -28,7 +29,7 @@
 //     os_backend.h).
 //   - The context owns two internally synchronized structures, each behind
 //     one lock, and they are the only mutable state the const query path
-//     touches: the core::PartialsMemo of per-subject OS trees
+//     touches: the core::PartialsMemo of per-subject complete OSs
 //     (partials_memo.h) and, in front of a back end that pays per
 //     statement, the core::JoinCache of join lists (join_cache.h). Both
 //     are deliberate: answers with and without them are byte-identical,
@@ -104,11 +105,11 @@ class SearchContext {
   const InvertedIndex& index() const { return index_; }
   const gds::Gds& GdsFor(rel::RelationId relation) const;
 
-  /// The partials memo of per-subject OS trees the query path consults
-  /// before generating an OS (see partials_memo.h). Non-const through a
-  /// const context because it is internally synchronized and invisible in
-  /// results. It lives and dies with this context, so it never holds a
-  /// tree generated from other data.
+  /// The partials memo of per-subject complete OSs the query path
+  /// consults before generating one (see partials_memo.h). Non-const
+  /// through a const context because it is internally synchronized and
+  /// invisible in results. It lives and dies with this context, so it
+  /// never holds a tree generated from other data.
   core::PartialsMemo& partials_memo() const { return *partials_memo_; }
 
   /// The join tier's counters; zeros for a context without one (a back
@@ -125,8 +126,10 @@ class SearchContext {
   /// max_results truncate.
   std::vector<Hit> RankedHits(std::string_view keywords,
                               const api::QueryOptions& options) const;
-  /// One hit's OS tree: the depth cap, then the partials memo, generating
-  /// (Algorithm 4 or 5) and memoizing the tree on a miss.
+  /// One hit's OS tree under the depth cap. A prelim-l OS (Algorithm 4)
+  /// is generated afresh and returns before the memo; a complete OS
+  /// (Algorithm 5) goes through the partials memo, generated and
+  /// memoized on a miss.
   core::OsTree AcquireOs(const Hit& hit,
                          const api::QueryOptions& options) const;
 

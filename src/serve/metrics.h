@@ -51,10 +51,10 @@ struct CacheMetrics {
 /// samples), so Percentile stays O(window log window).
 struct Metrics {
   CacheMetrics cache;
-  /// The served context's partials memo of per-subject OS trees, with
-  /// size-l run per request — the reuse tier under the result cache
-  /// (core/partials_memo.h). Context-owned, not service-owned: it lives
-  /// and dies with the context it memoizes.
+  /// The served context's partials memo of per-subject complete OSs
+  /// (prelim-l trees bypass it), with size-l run per request — the reuse
+  /// tier under the result cache (core/partials_memo.h). Context-owned,
+  /// not service-owned: it lives and dies with the context it memoizes.
   core::PartialsMemoMetrics partials;
   /// The served context's join tier in front of a back end that pays per
   /// statement (core/join_cache.h): the reuse tier under the memo, also

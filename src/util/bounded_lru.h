@@ -1,5 +1,6 @@
 // The one LRU mechanism under every reuse tier: serve::ResultCache's
-// entries and its admission doorkeeper, and core::PartialsMemo.
+// entries and its admission doorkeeper, core::PartialsMemo, and
+// core::JoinCache.
 //
 // A BoundedLru maps string keys to values in recency order and holds two
 // budgets: an entry count and a byte total, where each entry's byte charge

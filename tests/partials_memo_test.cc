@@ -5,7 +5,8 @@
 // byte-identical through DeterministicResultText, so the memo is
 // observable only through its own counters. The l-sweep tests are the
 // independent check on the tree keying: a complete OS is shared across
-// every l with the same effective depth cap, and never across caps.
+// every l with the same effective depth cap, and never across caps, and
+// a prelim-l OS never reaches the memo at all.
 #include <algorithm>
 #include <memory>
 #include <set>
@@ -126,7 +127,6 @@ TEST(PartialsMemoTest, DisabledMemoIsInert) {
   ASSERT_TRUE(memo.Insert("k", MakePartial(10)));
 
   memo.SetEnabled(false);
-  EXPECT_FALSE(memo.enabled());
   PartialsMemoMetrics m = memo.metrics();
   EXPECT_EQ(m.entries, 0u);  // disabling flushes
 
@@ -158,6 +158,7 @@ TEST(PartialsMemoIntegration, MemoOnMatchesMemoOffByteForByte) {
 
   api::QueryOptions options;
   options.l = 5;
+  options.use_prelim = false;  // only complete OSs reach the memo
   for (const char* keywords :
        {"databases", "faloutsos", "christos faloutsos"}) {
     SCOPED_TRACE(keywords);
@@ -183,6 +184,7 @@ TEST(PartialsMemoIntegration, OverlappingQueriesShareSubjectWork) {
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   api::QueryOptions options;
   options.l = 5;
+  options.use_prelim = false;  // only complete OSs reach the memo
 
   ctx.Query("faloutsos", options);
   PartialsMemoMetrics cold = ctx.partials_memo().metrics();
@@ -204,6 +206,7 @@ TEST(PartialsMemoIntegration, DistinctLAndAlgorithmDoNotCollide) {
 
   api::QueryOptions l5;
   l5.l = 5;
+  l5.use_prelim = false;  // only complete OSs reach the memo
   api::QueryOptions l3 = l5;
   l3.l = 3;
   api::QueryOptions dp = l5;
@@ -355,7 +358,7 @@ TEST(PartialsMemoLSweep, ShallowTreeNeverServesADeeperRequest) {
             DeterministicResultText(plain.Query(name, shallow)));
 }
 
-TEST(PartialsMemoLSweep, PrelimTreesStayKeyedByL) {
+TEST(PartialsMemoLSweep, PrelimTreesAreNeverMemoized) {
   ScoredTpch f(SmallTpchConfig());
   search::SearchContext ctx = BuildTpchContext(f.t, &f.backend);
   search::SearchContext plain = MemoOff(BuildTpchContext(f.t, &f.backend));
@@ -367,8 +370,9 @@ TEST(PartialsMemoLSweep, PrelimTreesStayKeyedByL) {
   api::QueryOptions l10 = l5;
   l10.l = 10;
 
-  // Both l past the G_DS depth, so a complete OS would share one tree;
-  // prelim-l OSs depend on l through the AC1/AC2 cutoff and must not.
+  // Prelim-l OSs depend on l through the AC1/AC2 cutoff, so a kept tree
+  // could answer only its own (subject, l) pair: every pass regenerates
+  // and the memo is never consulted.
   for (int pass = 0; pass < 2; ++pass) {
     EXPECT_EQ(DeterministicResultText(ctx.Query(name, l5)),
               DeterministicResultText(plain.Query(name, l5)));
@@ -376,9 +380,20 @@ TEST(PartialsMemoLSweep, PrelimTreesStayKeyedByL) {
               DeterministicResultText(plain.Query(name, l10)));
   }
   PartialsMemoMetrics m = ctx.partials_memo().metrics();
-  EXPECT_EQ(m.misses, 2u);
-  EXPECT_EQ(m.entries, 2u);
-  EXPECT_EQ(m.hits, 2u);
+  EXPECT_EQ(m.hits, 0u);
+  EXPECT_EQ(m.misses, 0u);
+  EXPECT_EQ(m.inserts, 0u);
+  EXPECT_EQ(m.entries, 0u);
+
+  // The same subject's complete OS does go through the memo.
+  api::QueryOptions complete = l5;
+  complete.use_prelim = false;
+  EXPECT_EQ(DeterministicResultText(ctx.Query(name, complete)),
+            DeterministicResultText(plain.Query(name, complete)));
+  m = ctx.partials_memo().metrics();
+  EXPECT_EQ(m.misses, 1u);
+  EXPECT_EQ(m.inserts, 1u);
+  EXPECT_EQ(m.entries, 1u);
 }
 
 }  // namespace

@@ -225,45 +225,59 @@ TEST(ThreadedExecuteEquivalence, InvalidRequestFailsAlone) {
 // The TSan canary: many threads hammer ONE shared context through the
 // DatabaseBackend (whose access paths also bump the shared
 // rel::Database::io_stats counters) while each thread re-verifies its
-// results against a precomputed golden. Any non-atomic mutable state on the
-// query path is a data race here; ~8 threads on the same structures give
-// TSan dense interleavings. Labeled slow: runtime is ~seconds under TSan.
+// results against a golden from a memo-off context. Any non-atomic mutable
+// state on the query path is a data race here; ~8 threads on the same
+// structures give TSan dense interleavings. It runs once on prelim-l OSs
+// (the join tier only) and once on complete OSs, the only ones the
+// partials memo keeps, so concurrent memo lookups, inserts and discarded
+// inserts stay under TSan too. Labeled slow: runtime is ~seconds under
+// TSan.
 TEST(SearchConcurrencyStress, SharedContextSharedBackend) {
   ScoredDblp f(SmallDblpConfig());
   core::DatabaseBackend backend(f.d.db, f.d.links, /*per_select_micros=*/0.0);
-  SearchContext ctx = BuildDblpContext(f.d, &backend);
   const std::vector<std::string> mix = DblpMix(f.d);
-  QueryOptions options;
-  options.l = 10;
-  options.max_results = 3;
+  SearchContext plain = BuildDblpContext(f.d, &backend);
+  plain.partials_memo().SetEnabled(false);
 
-  std::vector<std::string> golden;
-  golden.reserve(mix.size());
-  for (const std::string& q : mix) {
-    golden.push_back(DeterministicResultText(ctx.Query(q, options)));
-  }
+  for (bool prelim : {true, false}) {
+    SCOPED_TRACE(prelim ? "prelim-l" : "complete");
+    SearchContext ctx = BuildDblpContext(f.d, &backend);
+    QueryOptions options;
+    options.l = 10;
+    options.max_results = 3;
+    options.use_prelim = prelim;
 
-  constexpr size_t kThreads = 8;
-  constexpr int kRounds = 3;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (size_t w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
-      // Stagger starting offsets so threads collide on different queries.
-      for (int round = 0; round < kRounds; ++round) {
-        for (size_t i = 0; i < mix.size(); ++i) {
-          size_t q = (i + w) % mix.size();
-          if (DeterministicResultText(ctx.Query(mix[q], options)) !=
-              golden[q]) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
+    std::vector<std::string> golden;
+    golden.reserve(mix.size());
+    for (const std::string& q : mix) {
+      golden.push_back(DeterministicResultText(plain.Query(q, options)));
+    }
+
+    constexpr size_t kThreads = 8;
+    constexpr int kRounds = 3;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (size_t w = 0; w < kThreads; ++w) {
+      threads.emplace_back([&, w] {
+        // Stagger starting offsets so threads collide on different queries.
+        for (int round = 0; round < kRounds; ++round) {
+          for (size_t i = 0; i < mix.size(); ++i) {
+            size_t q = (i + w) % mix.size();
+            if (DeterministicResultText(ctx.Query(mix[q], options)) !=
+                golden[q]) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
           }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    if (!prelim) {
+      EXPECT_GT(ctx.partials_memo().metrics().hits, 0u);
+    }
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
   // Accounting survived the stampede: counters aggregated every SELECT.
   EXPECT_GT(backend.stats().select_calls, 0u);
   EXPECT_GT(f.d.db.io_stats().Snapshot().select_calls, 0u);

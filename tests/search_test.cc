@@ -258,8 +258,10 @@ TEST(Engine, AlgorithmsAllProduceValidResults) {
 // SearchContext::Query on a fresh context: the back end's {select_calls,
 // tuples_read}, then the memo's {hits, misses, inserts}, then on the
 // database back end the join tier's {hits, misses, admitted}. Each mix repeats and
-// overlaps queries, so the memo-on lines show real reuse. Every tier miss
-// is one statement, so its misses equal the back end's select_calls.
+// overlaps queries. Only its complete-OS queries (l = 0 or use_prelim
+// off) reach the memo, so the memo-on lines show their reuse, while a
+// repeated prelim-l query regenerates its tree. Every tier miss is one
+// statement, so its misses equal the back end's select_calls.
 std::vector<std::string> QueryLedgers(
     const rel::Database& db, const graph::LinkSchema& links,
     core::OsBackend* data_graph,
@@ -343,12 +345,12 @@ TEST(QueryLedger, DblpMixCountsArePinned) {
   std::vector<std::string> want = {
       "data-graph memo-off subject {1925, 5336} {0, 0, 0}",
       "data-graph memo-off summary {3325, 7976} {0, 0, 0}",
-      "data-graph memo-on subject {1034, 2809} {6, 14, 14}",
-      "data-graph memo-on summary {1884, 4380} {116, 168, 168}",
+      "data-graph memo-on subject {1207, 2986} {3, 5, 5}",
+      "data-graph memo-on summary {2607, 5626} {3, 33, 33}",
       "database memo-off subject {1318, 3707} {0, 0, 0} {607, 1318, 643}",
       "database memo-off summary {2153, 5436} {0, 0, 0} {1172, 2153, 1002}",
-      "database memo-on subject {979, 2637} {6, 14, 14} {55, 979, 304}",
-      "database memo-on summary {1648, 3911} {116, 168, 168} {236, 1648, 501}",
+      "database memo-on subject {988, 2881} {3, 5, 5} {219, 988, 313}",
+      "database memo-on summary {1964, 5020} {3, 33, 33} {643, 1964, 815}",
   };
   EXPECT_EQ(QueryLedgers(f.d.db, f.d.links, &f.backend, subjects, mix), want);
 }
@@ -374,12 +376,12 @@ TEST(QueryLedger, TpchMixCountsArePinned) {
   std::vector<std::string> want = {
       "data-graph memo-off subject {889, 1359} {0, 0, 0}",
       "data-graph memo-off summary {3565, 4517} {0, 0, 0}",
-      "data-graph memo-on subject {533, 778} {3, 6, 6}",
-      "data-graph memo-on summary {3209, 3936} {3, 123, 123}",
+      "data-graph memo-on subject {538, 783} {2, 2, 2}",
+      "data-graph memo-on summary {3214, 3941} {2, 2, 2}",
       "database memo-off subject {887, 1357} {0, 0, 0} {2, 887, 355}",
       "database memo-off summary {3408, 4355} {0, 0, 0} {157, 3408, 371}",
-      "database memo-on subject {533, 778} {3, 6, 6} {0, 533, 1}",
-      "database memo-on summary {3134, 3910} {3, 123, 123} {75, 3134, 102}",
+      "database memo-on subject {538, 783} {2, 2, 2} {0, 538, 6}",
+      "database memo-on summary {3134, 3910} {2, 2, 2} {80, 3134, 102}",
   };
   EXPECT_EQ(QueryLedgers(f.t.db, f.t.links, &f.backend, subjects, mix), want);
 }
